@@ -12,19 +12,18 @@ Built-in presets cover the bases used for elliptic K3 pencils:
 * ``F1`` - the Hirzebruch surface, basis (C0, Xi) with C0^2 = -1 the section
   and Xi the ruling fiber, K = -2C0 - 3Xi.
 
-Effective cones are required to be simplicial: the generators must be
-linearly independent, and effectivity means membership in the monoid of
-non-negative integer combinations of the generators.  All preset cones are
-of this form.
+Effective cones are required to be simplicial: exactly rank linearly
+independent generators (the effective cone of a projective surface contains
+the open ample cone, so it is full-dimensional), and effectivity means
+membership in the monoid of non-negative integer combinations of the
+generators.  All preset cones are of this form.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .errors import InvariantViolation
 
 Rat = int | Fraction
 
@@ -72,9 +71,11 @@ def zero_class(rank: int) -> BaseClass:
 
 @dataclass(frozen=True)
 class BaseSurface:
-    """Fano base lattice: intersection form, canonical class, effective cone."""
+    """Fano base lattice: intersection form, canonical class, effective cone.
 
-    name: str
+    Equality is decided by the lattice data alone; the name is a label."""
+
+    name: str = field(compare=False)
     rank: int
     gram: tuple[tuple[int, ...], ...]
     canonical: BaseClass
@@ -91,63 +92,26 @@ class BaseSurface:
         return pair_base(self, self.canonical, self.canonical)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free Gaussian elimination (matrices are tiny)."""
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination; entries stay integral."""
     n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _solve(columns: list[BaseClass], target: BaseClass) -> tuple[Fraction, ...] | None:
-    """Solve sum_i x_i columns[i] = target exactly; None if inconsistent.
-
-    The columns are required to be linearly independent, so a solution is
-    unique when it exists.
-    """
-    rank = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(col.coords[r]) for col in columns] + [Fraction(target.coords[r])]
-           for r in range(rank)]
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(row, rank) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(rank):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < ncols:
-        raise ValueError("effective generators are linearly dependent (non-simplicial cone)")
-    # rows past the pivot block must be zero for consistency
-    for r in range(row, rank):
-        if aug[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
-    return tuple(sol)
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 _PRESETS: dict[str, dict] = {
@@ -177,10 +141,11 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
               name: str = "custom") -> BaseSurface:
     """Build and validate a base surface.
 
-    Either pass a preset name ("P2", "F0", "F1"), or a gram matrix together
+    Either pass a preset name (P2, F0 or F1), or a gram matrix together
     with ``canonical`` and ``effective_generators``.  Validation enforces:
     symmetric unimodular gram, -K pairing strictly positively with every
-    effective generator, and linearly independent (simplicial) generators.
+    effective generator, and rank linearly independent (simplicial)
+    generators.
     """
     if isinstance(preset_or_gram, str):
         key = preset_or_gram.strip().upper()
@@ -198,7 +163,7 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
         raise ValueError("gram matrix must be square")
     if any(gram[i][j] != gram[j][i] for i in range(rank) for j in range(rank)):
         raise ValueError("gram matrix must be symmetric")
-    if abs(_det([list(r) for r in gram])) != 1:
+    if abs(int_det(gram)) != 1:
         raise ValueError("gram matrix must be unimodular (|det| = 1)")
     if canonical is None or effective_generators is None:
         raise ValueError("custom base needs canonical class and effective generators")
@@ -211,16 +176,17 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
             raise ValueError("effective generator has wrong length")
         if not g.is_integral():
             raise ValueError("effective generators must be integral")
-    if len(gens) > rank:
-        raise ValueError("more effective generators than rank (non-simplicial cone)")
+    if len(gens) != rank:
+        raise ValueError(f"a simplicial effective cone needs exactly rank = {rank} "
+                         f"generators, got {len(gens)}")
+    if int_det([g.coords for g in gens]) == 0:
+        raise ValueError("effective generators are linearly dependent (non-simplicial cone)")
     surface = BaseSurface(name=name, rank=rank, gram=gram, canonical=K,
                           effective_generators=gens)
     for g in gens:
         if pair_base(surface, surface.minus_canonical, g) <= 0:
             raise ValueError("base is not Fano: -K does not pair positively with "
                              f"effective generator {g.coords}")
-    # force the independence check now rather than on first membership query
-    _solve(list(gens), zero_class(rank))
     return surface
 
 
@@ -239,15 +205,23 @@ def pair_base(B: BaseSurface, a: BaseClass, b: BaseClass) -> Rat:
 
 def effective_coefficients(B: BaseSurface, C: BaseClass) -> tuple[int, ...] | None:
     """Coefficients of C over the effective generators, or None if C is not
-    a non-negative integer combination of them."""
+    a non-negative integer combination of them.  The generators are a basis
+    of the rational Picard space, so Cramer's rule gives the coefficients as
+    quotients of integer determinants."""
     if len(C) != B.rank:
         raise ValueError("class length does not match base rank")
-    sol = _solve(list(B.effective_generators), C)
-    if sol is None:
+    if not C.is_integral():
         return None
-    if any(x < 0 or x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+    gens = [g.coords for g in B.effective_generators]
+    det = int_det(gens)
+    target = tuple(int(c) for c in C.coords)
+    coeffs = []
+    for i in range(B.rank):
+        x, rem = divmod(int_det(gens[:i] + [target] + gens[i + 1:]), det)
+        if rem or x < 0:
+            return None
+        coeffs.append(x)
+    return tuple(coeffs)
 
 
 def is_effective_base(B: BaseSurface, C: BaseClass) -> bool:
@@ -280,6 +254,31 @@ def is_ample_base(B: BaseSurface, eta: BaseClass) -> bool:
     return pair_base(B, eta, eta) > 0
 
 
+def basis_class(B: BaseSurface, i: int) -> BaseClass:
+    coords = [0] * B.rank
+    coords[i] = 1
+    return BaseClass(coords)
+
+
+def has_k3_pencil(B: BaseSurface) -> bool:
+    """Whether the basis is (C0, Xi) for an elliptic K3 pencil, decided by the
+    lattice: rank 2, both basis classes effective, Xi^2 = 0, K.Xi = -2 and
+    C0.Xi = 1, so that p^*Xi is a K3 fiber and C0 a section (F0, F1)."""
+    if B.rank != 2:
+        return False
+    c0, xi = basis_class(B, 0), basis_class(B, 1)
+    return (is_effective_base(B, c0) and is_effective_base(B, xi)
+            and pair_base(B, xi, xi) == 0
+            and pair_base(B, B.canonical, xi) == -2
+            and pair_base(B, c0, xi) == 1)
+
+
+def require_k3_pencil(B: BaseSurface) -> None:
+    if not has_k3_pencil(B):
+        raise ValueError(f"base {B.name} has no elliptic K3 pencil: need rank 2 "
+                         "and a (C0, Xi) basis with Xi^2 = 0, K.Xi = -2, C0.Xi = 1")
+
+
 def base_to_json(B: BaseSurface) -> dict:
     return {
         "name": B.name,
@@ -292,9 +291,3 @@ def base_to_json(B: BaseSurface) -> dict:
 def base_from_json(data: dict) -> BaseSurface:
     return make_base(data["gram"], data["canonical"], data["effective"],
                      name=data.get("name", "custom"))
-
-
-def assert_unimodular(B: BaseSurface) -> None:
-    d = _det([list(r) for r in B.gram])
-    if abs(d) != 1:
-        raise InvariantViolation(f"|det| = {abs(d)} != 1 for base {B.name}")

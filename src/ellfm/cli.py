@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+import traceback
 from pathlib import Path
 
 from . import base_geometry as bg
@@ -36,15 +35,6 @@ EXIT_USAGE = 2
 
 ENV_BASE = "ELLFM_BASE"
 FORMATS = ("json", "csv", "pretty")
-
-
-@dataclass
-class Config:
-    base: str
-    fmt: str
-    delta_convention: str
-    order: int
-    seed: int
 
 
 class UsageError(ValueError):
@@ -73,16 +63,12 @@ def _emit(report: dict, rows: list[list], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        csv.writer(sys.stdout).writerows(rows)
     else:
         _pretty(report)
 
 
-def _pretty(value, indent: int = 0) -> None:
+def _pretty(value: dict | list, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         for key, item in value.items():
@@ -97,15 +83,12 @@ def _pretty(value, indent: int = 0) -> None:
                 _pretty(item, indent)
             else:
                 print(f"{pad}- {item}")
-    else:
-        print(f"{pad}{value}")
 
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_lattice(config: Config, args) -> int:
-    B = _load_base(config.base)
-    bg.assert_unimodular(B)
+def cmd_lattice(args) -> int:
+    B = _load_base(args.base)
     matrix, det = wx.intersection_matrix_X(B)
     report = {
         "base": bg.base_to_json(B),
@@ -114,17 +97,17 @@ def cmd_lattice(config: Config, args) -> int:
         "det": det,
         "unimodular": abs(det) == 1,
     }
-    if B.name in ("F0", "F1"):
+    if bg.has_k3_pencil(B):
         report["pencil_relations"] = wx.k3_pencil_relations(B)
     rows = [["row", *range(len(matrix))]]
     rows += [[i, *row] for i, row in enumerate(matrix)]
     rows.append(["det", det])
-    _emit(report, rows, config.fmt)
+    _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_slope(config: Config, args) -> int:
-    B = _load_base(config.base)
+def cmd_slope(args) -> int:
+    B = _load_base(args.base)
     gamma = jsonio.dim2_from_json(_parse_json_arg(args.gamma, "--gamma"))
     omega = st.KahlerParams(jsonio.parse_frac(args.t), jsonio.parse_frac(args.s))
     mu = st.slope_dim2(B, gamma, omega)
@@ -145,12 +128,12 @@ def cmd_slope(config: Config, args) -> int:
     }
     rows = [["quantity", "value"], ["mu", jsonio.frac_str(mu)],
             ["nu", jsonio.frac_str(nu)], ["chi", jsonio.frac_str(chi)]]
-    _emit(report, rows, config.fmt)
+    _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_thresholds(config: Config, args) -> int:
-    B = _load_base(config.base)
+def cmd_thresholds(args) -> int:
+    B = _load_base(args.base)
     if args.gammahat is None and args.k3 is None:
         raise UsageError("thresholds needs --gammahat and/or --k3 data")
     report: dict = {"base": B.name}
@@ -188,79 +171,59 @@ def cmd_thresholds(config: Config, args) -> int:
             for entry in candidates:
                 gp = jsonio.k3_from_json(entry)
                 wall = st.eta_wall(gp, v, s)
-                walls.append({
-                    "gamma_prime": jsonio.k3_to_json(gp),
-                    "root": None if wall.root is None else jsonio.frac_str(wall.root),
-                    "identically_zero": wall.identically_zero,
-                })
+                root = None if wall.root is None else jsonio.frac_str(wall.root)
+                walls.append({"gamma_prime": jsonio.k3_to_json(gp), "root": root,
+                              "identically_zero": wall.identically_zero})
                 rows.append([f"wall{len(walls)}",
-                             "identically zero" if wall.identically_zero
-                             else ("none" if wall.root is None
-                                   else jsonio.frac_str(wall.root))])
+                             "identically zero" if wall.identically_zero else root or "none"])
         report["walls"] = walls
 
     report["note"] = ("the adiabatic comparison constant t1 is not "
                       "constructive; s1, t2 and the wall bounds are the "
                       "computable substitutes")
-    _emit(report, rows, config.fmt)
+    _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_fm(config: Config, args) -> int:
-    B = _load_base(config.base)
-    direction = args.direction
-    if args.to_x:
-        direction = "to-X"
-    if args.to_xhat:
-        direction = "to-Xhat"
-    if direction is None:
+def cmd_fm(args) -> int:
+    B = _load_base(args.base)
+    if args.direction is None:
         raise UsageError("fm needs --direction {to-X,to-Xhat} (or --to-X/--to-Xhat)")
-
-    if direction == "to-X":
-        if args.gammahat is None:
-            raise UsageError("direction to-X needs --gammahat")
-        gh = jsonio.dim1_from_json(_parse_json_arg(args.gammahat, "--gammahat"))
-        result = fm.fm_dim1_to_dim2(B, gh)
-        ok = fm.roundtrip_check(B, gh)
-        report = {
-            "base": B.name,
-            "direction": direction,
-            "input": jsonio.dim1_to_json(gh),
-            "sheaf_level": jsonio.dim2_to_json(result.sheaf_level),
-            "complex_level": jsonio.dim2_to_json(result.complex_level),
-            "roundtrip": ok,
-        }
-        rows = [["field", "value"],
-                ["C", result.sheaf_level.C.coords],
-                ["k2", result.sheaf_level.k2],
-                ["n", result.sheaf_level.n]]
+    to_x = args.direction == "to-X"
+    flag, text = ("--gammahat", args.gammahat) if to_x else ("--gamma", args.gamma)
+    if text is None:
+        raise UsageError(f"direction {args.direction} needs {flag}")
+    if to_x:
+        source = jsonio.dim1_from_json(_parse_json_arg(text, flag))
+        result = fm.fm_dim1_to_dim2(B, source)
+        source_json, image_json = jsonio.dim1_to_json, jsonio.dim2_to_json
     else:
-        if args.gamma is None:
-            raise UsageError("direction to-Xhat needs --gamma")
-        gamma = jsonio.dim2_from_json(_parse_json_arg(args.gamma, "--gamma"))
-        result = fm.fm_dim2_to_dim1(B, gamma)
-        ok = fm.roundtrip_check(B, gamma)
-        report = {
-            "base": B.name,
-            "direction": direction,
-            "input": jsonio.dim2_to_json(gamma),
-            "sheaf_level": jsonio.dim1_to_json(result.sheaf_level),
-            "complex_level": jsonio.dim1_to_json(result.complex_level),
-            "image_effective": result.image_effective,
-            "roundtrip": ok,
-        }
-        rows = [["field", "value"],
-                ["C", result.sheaf_level.C.coords],
-                ["m", result.sheaf_level.m],
-                ["chi", result.sheaf_level.chi]]
+        source = jsonio.dim2_from_json(_parse_json_arg(text, flag))
+        result = fm.fm_dim2_to_dim1(B, source)
+        source_json, image_json = jsonio.dim2_to_json, jsonio.dim1_to_json
+    ok = fm.roundtrip_check(B, source)
+    sheaf = image_json(result.sheaf_level)
+    report = {
+        "base": B.name,
+        "direction": args.direction,
+        "input": source_json(source),
+        "sheaf_level": sheaf,
+        "complex_level": image_json(result.complex_level),
+    }
+    if not to_x:
+        report["image_effective"] = result.image_effective
+    report["roundtrip"] = ok
+    # the C row shows the coordinate tuple; the remaining integer fields follow
+    rows = [["field", "value"], ["C", result.sheaf_level.C.coords]]
+    rows += [[key, value] for key, value in sheaf.items() if key not in ("C", "alpha")]
     if not ok:
         raise InvariantViolation("transform round trip failed")
-    _emit(report, rows, config.fmt)
+    _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_zseries(config: Config, args) -> int:
-    result = modular.z_series(args.r, args.k, config.order, config.delta_convention)
+def cmd_zseries(args) -> int:
+    result = modular.z_series(args.r, args.k, args.order, args.delta_convention)
     series = result.series
     report = {
         "r": result.r,
@@ -275,11 +238,11 @@ def cmd_zseries(config: Config, args) -> int:
     rows = [["exp", "value"]]
     rows += [[int(series.offset) + i, jsonio.frac_str(c)]
              for i, c in enumerate(series.coeffs)]
-    _emit(report, rows, config.fmt)
+    _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_invert(config: Config, args) -> int:
+def cmd_invert(args) -> int:
     path = Path(args.table)
     if not path.exists():
         raise UsageError(f"table file {path} does not exist")
@@ -295,43 +258,43 @@ def cmd_invert(config: Config, args) -> int:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
     else:
-        _emit(report, rows, config.fmt)
+        _emit(report, rows, args.fmt)
     return EXIT_OK
 
 
-def cmd_selftest(config: Config, args) -> int:
-    results = selftest.run_all(config.seed)
-    failed = [name for name, ok, _ in results if not ok]
-    for name, ok, detail in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return EXIT_OK if not failed else EXIT_INVARIANT
+def cmd_selftest(args) -> int:
+    code = EXIT_OK
+    for criterion in selftest.CRITERIA:
+        try:
+            print(f"[PASS] {criterion.run()}")
+        except Exception as exc:  # report the failure, then run the other criteria
+            traceback.print_exc()
+            print(f"[FAIL] {criterion.label} ({type(exc).__name__}: {exc})")
+            code = EXIT_INVARIANT
+    return code
 
 
 # -- argument parsing ----------------------------------------------------------
+
+def _add_shared_options(parser: argparse.ArgumentParser, base, fmt) -> None:
+    parser.add_argument("--base", default=base,
+                        help=f"base preset (P2, F0, F1) or JSON file [env {ENV_BASE}]")
+    parser.add_argument("--format", choices=FORMATS, default=fmt, dest="fmt",
+                        help="output format")
+
 
 def build_parser() -> argparse.ArgumentParser:
     # shared options are accepted both before and after the subcommand; the
     # SUPPRESS defaults keep the subparser from clobbering values parsed by
     # the main parser
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--base", default=argparse.SUPPRESS,
-                        help="base preset (P2, F0, F1) or JSON file "
-                             f"[env {ENV_BASE}]")
-    shared.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
-                        dest="fmt", help="output format")
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for property sweeps")
+    _add_shared_options(shared, argparse.SUPPRESS, argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="ellfm",
         description="Exact sheaf-counting numerics on elliptic Weierstrass "
                     "Calabi-Yau threefolds.")
-    parser.add_argument("--base", default=os.environ.get(ENV_BASE, "F1"),
-                        help="base preset (P2, F0, F1) or JSON file "
-                             f"[env {ENV_BASE}]")
-    parser.add_argument("--format", choices=FORMATS, default="pretty",
-                        dest="fmt", help="output format")
-    parser.add_argument("--seed", type=int, default=7, help="seed for property sweeps")
+    _add_shared_options(parser, os.environ.get(ENV_BASE, "F1"), "pretty")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("lattice", help="intersection lattice report", parents=[shared])
@@ -353,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fm", help="transform numerical invariants",
                        parents=[shared])
-    p.add_argument("--direction", choices=("to-X", "to-Xhat"))
-    p.add_argument("--to-X", action="store_true", dest="to_x",
-                   help="shorthand for --direction to-X")
-    p.add_argument("--to-Xhat", action="store_true", dest="to_xhat",
-                   help="shorthand for --direction to-Xhat")
+    direction = p.add_mutually_exclusive_group()
+    direction.add_argument("--direction", choices=("to-X", "to-Xhat"))
+    direction.add_argument("--to-X", action="store_const", const="to-X", dest="direction",
+                           help="shorthand for --direction to-X")
+    direction.add_argument("--to-Xhat", action="store_const", const="to-Xhat",
+                           dest="direction", help="shorthand for --direction to-Xhat")
     p.add_argument("--gammahat", help="Dim1 invariants JSON (for to-X)")
     p.add_argument("--gamma", help="Dim2 invariants JSON (for to-Xhat)")
 
@@ -376,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", help="write the converted table to a file")
 
-    sub.add_parser("selftest", help="run the deterministic property sweeps",
+    sub.add_parser("selftest", help="run the acceptance criteria",
                    parents=[shared])
     return parser
 
@@ -395,19 +359,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = Config(
-        base=args.base,
-        fmt=args.fmt,
-        delta_convention=getattr(args, "delta_convention", "cusp"),
-        order=getattr(args, "order", 20),
-        seed=args.seed,
-    )
     try:
-        return _COMMANDS[args.command](config, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+        return _COMMANDS[args.command](args)
+    except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

@@ -51,12 +51,6 @@ class InvariantTable:
     def support(self) -> list[Triple]:
         return sorted(self.entries)
 
-    def box(self) -> tuple[int, int, int]:
-        """Componentwise maxima of the support."""
-        if not self.entries:
-            return (0, 0, 0)
-        return tuple(max(abs(g[i]) for g in self.entries) for i in range(3))
-
 
 def _gcd3(gamma: Triple) -> int:
     g = math.gcd(math.gcd(abs(gamma[0]), abs(gamma[1])), abs(gamma[2]))
@@ -87,26 +81,25 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def dt_from_omega(omega: InvariantTable, gamma: Triple) -> Fraction:
-    """Multicover sum over divisors of gcd(gamma)."""
-    if omega.kind != "Omega":
-        raise ValueError(f"expected an Omega table, got kind {omega.kind!r}")
+def _divisor_sum(table: InvariantTable, kind: str, gamma: Triple, weight) -> Fraction:
+    """sum over m | gcd(gamma) of weight(m) / m^2 * table(gamma / m)."""
+    if table.kind != kind:
+        raise ValueError(f"expected a table of kind {kind!r}, got kind {table.kind!r}")
     r, n, k = gamma
     total = Fraction(0)
     for m in _divisors(_gcd3(gamma)):
-        total += Fraction(1, m * m) * omega.value((r // m, n // m, k // m))
+        total += Fraction(weight(m), m * m) * table.value((r // m, n // m, k // m))
     return total
+
+
+def dt_from_omega(omega: InvariantTable, gamma: Triple) -> Fraction:
+    """Multicover sum over divisors of gcd(gamma)."""
+    return _divisor_sum(omega, "Omega", gamma, lambda m: 1)
 
 
 def omega_from_dt(dt: InvariantTable, gamma: Triple) -> Fraction:
     """Mobius inversion of the multicover sum; exact round trip."""
-    if dt.kind != "DT":
-        raise ValueError(f"expected a DT table, got kind {dt.kind!r}")
-    r, n, k = gamma
-    total = Fraction(0)
-    for m in _divisors(_gcd3(gamma)):
-        total += Fraction(_moebius(m), m * m) * dt.value((r // m, n // m, k // m))
-    return total
+    return _divisor_sum(dt, "DT", gamma, _moebius)
 
 
 def dt_table_from_omega(omega: InvariantTable) -> InvariantTable:

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_geometry import BaseClass, BaseSurface, is_effective_base, pair_base, zero_class
+from .base_geometry import BaseClass, BaseSurface, pair_base, require_k3_pencil, zero_class
 from .errors import InvariantViolation
 from .stability import Dim1Chern, Dim2Chern, K3Invariants
+from .weierstrass import CurveX, is_effective_curve_X
 
 
 def phi_map(B: BaseSurface, gammahat: Dim1Chern) -> Dim2Chern:
@@ -82,53 +83,31 @@ def fm_dim2_to_dim1(B: BaseSurface, gamma: Dim2Chern) -> ToDualResult:
     if not gamma.vertical():
         raise ValueError("transform to the dual side needs vertical input")
     sheaf = phi_inverse(B, gamma)
-    complex_level = Dim1Chern(C=-sheaf.C, m=-sheaf.m, chi=-sheaf.chi)
-    effective = gamma.n >= 0 and is_effective_base(B, gamma.C)
-    return ToDualResult(complex_level=complex_level, sheaf_level=sheaf,
-                        image_effective=effective)
+    return ToDualResult(complex_level=-sheaf, sheaf_level=sheaf,
+                        image_effective=is_effective_curve_X(CurveX(gamma.n, gamma.C, B)))
 
 
 def roundtrip_check(B: BaseSurface, invariants) -> bool:
     """Composing the two directions negates the complex level and fixes the
-    sheaf level.  Accepts either Dim1Chern or vertical Dim2Chern."""
+    sheaf level.  Accepts either Dim1Chern or vertical Dim2Chern.
+
+    The complex-level maps are phi_map (WIT_0) and -phi_inverse (WIT_1)."""
     if isinstance(invariants, Dim1Chern):
-        gammahat = invariants
-        gamma = phi_map(B, gammahat)
-        back = phi_inverse(B, gamma)
-        sheaf_ok = back == gammahat
-        twice = _complex_to_dual(B, _complex_to_x(B, gammahat))
-        complex_ok = twice == Dim1Chern(-gammahat.C, -gammahat.m, -gammahat.chi)
-        return sheaf_ok and complex_ok
+        there = fm_dim1_to_dim2(B, invariants).complex_level
+        back = fm_dim2_to_dim1(B, there)
+        return back.sheaf_level == invariants and back.complex_level == -invariants
     if isinstance(invariants, Dim2Chern):
-        gamma = invariants
-        res = fm_dim2_to_dim1(B, gamma)
-        back = phi_map(B, res.sheaf_level)
-        sheaf_ok = back == gamma
-        twice = _complex_to_x(B, _complex_to_dual(B, gamma))
-        complex_ok = twice == Dim2Chern(-gamma.C, zero_class(B.rank), -gamma.k2, -gamma.n)
-        return sheaf_ok and complex_ok
+        there = fm_dim2_to_dim1(B, invariants)
+        return (phi_map(B, there.sheaf_level) == invariants
+                and fm_dim1_to_dim2(B, there.complex_level).complex_level == -invariants)
     raise TypeError(f"unsupported invariant type {type(invariants).__name__}")
-
-
-def _complex_to_x(B: BaseSurface, f: Dim1Chern) -> Dim2Chern:
-    # character map for the transform of a one-dimensional character
-    kc = pair_base(B, B.canonical, f.C)
-    return Dim2Chern(C=f.C, alpha=zero_class(B.rank), k2=2 * f.chi + kc, n=f.m)
-
-
-def _complex_to_dual(B: BaseSurface, e: Dim2Chern) -> Dim1Chern:
-    # character map for the transform of a vertical two-dimensional character
-    kc = pair_base(B, B.canonical, e.C)
-    if (e.k2 - kc) % 2 != 0:
-        raise ValueError("parity violated: k2 - K_B.C must be even")
-    return Dim1Chern(C=-e.C, m=-e.n, chi=(-e.k2 + kc) // 2)
 
 
 def pencil_invariants(B: BaseSurface, r: int, n: int, k: int) -> Dim2Chern:
     """Vertical invariants (r Xi, k2 = 2(k - r), n) of the transform of
-    (r Xi, n, k) over a Hirzebruch base; checked against the invariant map."""
-    if B.name not in ("F0", "F1"):
-        raise ValueError(f"base {B.name} has no elliptic K3 pencil (need F0 or F1)")
+    (r Xi, n, k) over a base with a K3 pencil; checked against the invariant
+    map."""
+    require_k3_pencil(B)
     if r < 1 or k < 1 or n < 0:
         raise ValueError("need r, k >= 1 and n >= 0")
     xi = BaseClass((0, 1))
@@ -143,8 +122,7 @@ def pencil_invariants(B: BaseSurface, r: int, n: int, k: int) -> Dim2Chern:
 def k3_view(B: BaseSurface, gamma: Dim2Chern) -> K3Invariants:
     """Read (r, m, l, n) off invariants supported on K3 fibers (C = r Xi,
     alpha = m Xi)."""
-    if B.name not in ("F0", "F1"):
-        raise ValueError(f"base {B.name} has no elliptic K3 pencil (need F0 or F1)")
+    require_k3_pencil(B)
     gamma.validate(B)
     c0, r = gamma.C.coords
     am, axi = gamma.alpha.coords
@@ -157,17 +135,19 @@ def k3_view(B: BaseSurface, gamma: Dim2Chern) -> K3Invariants:
     return K3Invariants(r=int(r), m=int(axi), l=gamma.k2 // 2, n=gamma.n)
 
 
-def tensor_shift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
-    """Twist by the pullback of O_B(-C0): on vertical invariants supported
-    on K3 fibers this maps l to l - r, fixing m and n.  Invertible."""
+def _twist(B: BaseSurface, gamma: Dim2Chern, times: int) -> Dim2Chern:
+    """Twist by the pullback of O_B(-times C0): maps l to l - times r on
+    vertical invariants supported on K3 fibers, fixing m and n."""
     view = k3_view(B, gamma)
     if view.m != 0:
         raise ValueError("tensor shift is defined on vertical invariants (m = 0)")
-    return Dim2Chern(C=gamma.C, alpha=gamma.alpha, k2=gamma.k2 - 2 * view.r, n=gamma.n)
+    return Dim2Chern(C=gamma.C, alpha=gamma.alpha, k2=gamma.k2 - 2 * times * view.r, n=gamma.n)
+
+
+def tensor_shift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
+    """Twist by the pullback of O_B(-C0): l -> l - r.  Inverse: tensor_unshift."""
+    return _twist(B, gamma, 1)
 
 
 def tensor_unshift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
-    view = k3_view(B, gamma)
-    if view.m != 0:
-        raise ValueError("tensor shift is defined on vertical invariants (m = 0)")
-    return Dim2Chern(C=gamma.C, alpha=gamma.alpha, k2=gamma.k2 + 2 * view.r, n=gamma.n)
+    return _twist(B, gamma, -1)

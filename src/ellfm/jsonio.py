@@ -24,8 +24,7 @@ def parse_frac(value) -> Fraction:
 
 
 def frac_str(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))  # "p/q", or "p" when integral
 
 
 def _int_vector(values, label: str) -> tuple[int, ...]:

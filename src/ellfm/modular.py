@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .qseries import QSeries, collapse, sieve
+from .qseries import QSeries, _power, collapse, sieve
 
 DELTA_CONVENTIONS = ("cusp", "paper")
 
@@ -56,36 +56,11 @@ def _euler_product(order: int) -> list[int]:
     return coeffs
 
 
-def _poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(a: list[int], e: int, order: int) -> list[int]:
-    result = None
-    square = a
-    while e:
-        if e & 1:
-            result = square if result is None else _poly_mul(result, square, order)
-        e >>= 1
-        if e:
-            square = _poly_mul(square, square, order)
-    return result
-
-
 def eta24(order: int) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24 on the window [1, order]."""
     if order < 1:
         raise ValueError("need order >= 1")
-    body = _poly_pow(_euler_product(order - 1), 24, order - 1)
+    body = _power(_euler_product(order - 1), 24, order - 1)
     return QSeries(1, body)
 
 
@@ -173,12 +148,10 @@ def z_series(r: int, k: int, order: int, convention: str = "cusp") -> ZSeriesRes
     for l in range(r):
         term = sieve(inv_delta, r, l - 1) * sieve(e10, r, 1 - l)
         total = term if total is None else total + term
-    base = int(total.offset)
-    for i, c in enumerate(total.coeffs):
-        if c != 0 and (base + i) % r != 0:
-            raise InvariantViolation(f"surviving u-exponent {base + i} not "
-                                     f"divisible by {r}")
-    z = collapse(total, r).scale(-2)
+    try:
+        z = collapse(total, r).scale(-2)
+    except ValueError as exc:  # a surviving u-exponent not divisible by r
+        raise InvariantViolation(f"sieve assembly broken: {exc}") from None
     if z.last_exponent > order:
         z = z.truncate(order)
 

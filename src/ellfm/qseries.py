@@ -76,9 +76,6 @@ class QSeries:
         """Nonzero (exponent, coefficient) pairs in the window."""
         return [(self.offset + i, c) for i, c in enumerate(self.coeffs) if c != 0]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def leading(self) -> tuple[Fraction, Fraction] | None:
         """Lowest nonzero (exponent, coefficient), or None for zero series."""
         for i, c in enumerate(self.coeffs):
@@ -98,19 +95,8 @@ class QSeries:
             raise ValueError(f"incompatible offsets {self.offset} and {other.offset}: "
                              "difference must be an integer")
         lo = min(self.offset, other.offset)
-        hi = min(self.last_exponent, other.last_exponent)
-        n = int(hi - lo)
-        out = []
-        for i in range(n + 1):
-            e = lo + i
-            out.append(self._at_or_zero(e) + other._at_or_zero(e))
-        return QSeries(lo, out)
-
-    def _at_or_zero(self, e: Fraction) -> Fraction:
-        rel = e - self.offset
-        if rel < 0 or rel.denominator != 1:
-            return Fraction(0)
-        return self.coeffs[int(rel)]
+        n = int(min(self.last_exponent, other.last_exponent) - lo)
+        return QSeries(lo, [a + b for a, b in zip(_window(self, lo, n), _window(other, lo, n))])
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.offset, tuple(-c for c in self.coeffs))
@@ -124,16 +110,7 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0 or i > n:
-                continue
-            for j in range(min(n - i, other.order) + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return QSeries(self.offset + other.offset, out)
+        return QSeries(self.offset + other.offset, _convolve(self.coeffs, other.coeffs, n))
 
     def inverse(self) -> "QSeries":
         a = self.coeffs
@@ -152,20 +129,9 @@ class QSeries:
         return QSeries(-self.offset, b)
 
     def pow(self, e: int) -> "QSeries":
-        if e == 0:
-            return QSeries(0, (Fraction(1),) + (Fraction(0),) * self.order)
         if e < 0:
             return self.inverse().pow(-e)
-        result = None
-        square = self
-        k = e
-        while k:
-            if k & 1:
-                result = square if result is None else result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        return QSeries(e * self.offset, _power(self.coeffs, e, self.order))
 
     def shift(self, delta: Rat) -> "QSeries":
         """Multiply by the monomial q^delta."""
@@ -183,6 +149,40 @@ class QSeries:
 
     def integral_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
+
+
+def _convolve(a, b, order: int) -> list:
+    """Coefficients 0..order of the product of two coefficient sequences
+    (integers or rationals), skipping zero terms."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j in range(min(order - i, len(b) - 1) + 1):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _power(a, e: int, order: int) -> list:
+    """Coefficients 0..order of a^e for e >= 0, by binary powering."""
+    result = [1] + [0] * order
+    while e:
+        if e & 1:
+            result = _convolve(result, a, order)
+        e >>= 1
+        if e:
+            a = _convolve(a, a, order)
+    return result
+
+
+def _window(f: QSeries, lo: Fraction, n: int) -> list[Fraction]:
+    """Coefficients of f at exponents lo, lo + 1, ..., lo + n, for lo on f's
+    grid with lo <= f.offset and lo + n <= f.last_exponent: zeros below f's
+    window, then f's own coefficients."""
+    pad = min(int(f.offset - lo), n + 1)
+    return [Fraction(0)] * pad + list(f.coeffs[: n + 1 - pad])
 
 
 def constant(value: Rat, order: int) -> QSeries:
@@ -205,11 +205,8 @@ def agree_through(f: QSeries, g: QSeries, through_exponent: Rat) -> bool:
     if (f.offset - g.offset).denominator != 1:
         return False
     lo = min(f.offset, g.offset)
-    steps = int(e - lo)
-    for i in range(steps + 1):
-        if f._at_or_zero(lo + i) != g._at_or_zero(lo + i):
-            return False
-    return True
+    n = int(e - lo)
+    return _window(f, lo, n) == _window(g, lo, n)
 
 
 def sieve(f: QSeries, r: int, k: int) -> QSeries:

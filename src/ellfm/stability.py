@@ -51,6 +51,9 @@ class Dim2Chern:
     k2: int
     n: int
 
+    def __neg__(self) -> "Dim2Chern":
+        return Dim2Chern(-self.C, -self.alpha, -self.k2, -self.n)
+
     def vertical(self) -> bool:
         return self.alpha.is_zero()
 
@@ -71,6 +74,9 @@ class Dim1Chern:
     C: BaseClass
     m: int
     chi: int
+
+    def __neg__(self) -> "Dim1Chern":
+        return Dim1Chern(-self.C, -self.m, -self.chi)
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,7 @@ class Ordering(enum.Enum):
 
 def _abs_kc(B: BaseSurface, C: BaseClass) -> int:
     """|K_B.C| for effective nonzero C (where K_B.C < 0 on a Fano base)."""
-    kc = pair_base(B, B.canonical, C)
-    return -kc if kc < 0 else kc
+    return abs(pair_base(B, B.canonical, C))
 
 
 def _require_effective_nonzero(B: BaseSurface, C: BaseClass) -> None:
@@ -223,6 +228,17 @@ def _context_chi(B: BaseSurface, C: BaseClass, k2: int) -> Fraction:
     return Fraction(k2 - pair_base(B, B.canonical, C), 2)
 
 
+def _checked_context_chi(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
+    """chi of a context (C, k, n) with C effective nonzero, chi >= 1, n >= 0."""
+    _require_effective_nonzero(B, C)
+    chi = _context_chi(B, C, k2)
+    if chi < 1:
+        raise ValueError(f"context requires chi >= 1, got chi = {chi}")
+    if n < 0:
+        raise ValueError("context requires n >= 0")
+    return chi
+
+
 def enumerate_S(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]:
     """The finite set S(C, k, n) of candidate destabilizer invariants.
 
@@ -230,12 +246,7 @@ def enumerate_S(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]
     |K_B.C| l - |K_B.C'| chi <= 0 and 0 <= m <= n, where
     chi = k - K_B.C/2 >= 1.
     """
-    _require_effective_nonzero(B, C)
-    chi = _context_chi(B, C, k2)
-    if chi < 1:
-        raise ValueError(f"context requires chi >= 1, got chi = {chi}")
-    if n < 0:
-        raise ValueError("context requires n >= 0")
+    chi = _checked_context_chi(B, C, k2, n)
     kc = _abs_kc(B, C)
     out = []
     for Cp in enumerate_subeffective(B, C):
@@ -243,8 +254,6 @@ def enumerate_S(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]
         # kc * l <= kcp * chi caps l; kc >= 1 on a Fano base
         lmax = int(Fraction(kcp) * chi / kc)
         for l in range(lmax + 1):
-            if kc * l - kcp * chi > 0:
-                continue
             for m in range(n + 1):
                 out.append(SElement(Cp, l, m))
     return out
@@ -259,11 +268,17 @@ def enumerate_Sprime(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SEle
 
 
 def f_s_value(B: BaseSurface, s: Rat, e: SElement, C: BaseClass, k2: int, n: int) -> Fraction:
-    """f_s(C', l, m) = (s-1)(|K_B.C| l - |K_B.C'| chi) + (n l - m chi)."""
-    chi = _context_chi(B, C, k2)
-    kc = _abs_kc(B, C)
-    d1 = kc * e.l - _abs_kc(B, e.Cprime) * chi
-    if d1 > -1 or e not in enumerate_S(B, C, k2, n):
+    """f_s(C', l, m) = (s-1)(|K_B.C| l - |K_B.C'| chi) + (n l - m chi).
+
+    Membership of e in S' is decided by the defining inequalities, without
+    enumerating S.
+    """
+    chi = _checked_context_chi(B, C, k2, n)
+    integral = all(Fraction(x).denominator == 1 for x in (e.l, e.m))
+    member = (integral and e.l >= 0 and 0 <= e.m <= n
+              and is_effective_base(B, e.Cprime) and is_effective_base(B, C - e.Cprime))
+    d1 = _abs_kc(B, C) * e.l - _abs_kc(B, e.Cprime) * chi
+    if not member or d1 > -1:
         raise ValueError(f"element {e} is not in S'(C, k, n)")
     return (Fraction(s) - 1) * d1 + (n * e.l - e.m * chi)
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base_geometry import BaseClass, BaseSurface, is_ample_base, is_effective_base, pair_base, zero_class
+from .base_geometry import (BaseClass, BaseSurface, basis_class, int_det, is_ample_base,
+                            is_effective_base, pair_base, require_k3_pencil, zero_class)
 from .errors import InvariantViolation
 
 Rat = int | Fraction
@@ -65,8 +66,7 @@ class CurveX:
             raise ValueError("section class length does not match base rank")
 
     def __add__(self, other: "CurveX") -> "CurveX":
-        if self.over is not other.over:
-            raise ValueError("curves live over different bases")
+        _same_base(self, other)
         return CurveX(self.fiber + other.fiber, self.section_push + other.section_push, self.over)
 
     def __neg__(self) -> "CurveX":
@@ -75,12 +75,9 @@ class CurveX:
     def __rmul__(self, c: Rat) -> "CurveX":
         return CurveX(c * self.fiber, c * self.section_push, self.over)
 
-    def is_zero(self) -> bool:
-        return self.fiber == 0 and self.section_push.is_zero()
-
 
 def _same_base(a, b):
-    if a.over is not b.over:
+    if a.over != b.over:
         raise ValueError("classes live over different bases")
 
 
@@ -133,40 +130,13 @@ def intersection_matrix_X(B: BaseSurface) -> tuple[tuple[tuple[int, ...], ...], 
 
     Returns (matrix, determinant) and checks |det| = 1.
     """
-    divisors = [theta(B)] + [pullback(B, _basis_class(B, i)) for i in range(B.rank)]
-    curves = [fiber(B)] + [section_push(B, _basis_class(B, j)) for j in range(B.rank)]
+    divisors = [theta(B)] + [pullback(B, basis_class(B, i)) for i in range(B.rank)]
+    curves = [fiber(B)] + [section_push(B, basis_class(B, j)) for j in range(B.rank)]
     matrix = tuple(tuple(pair_div_curve(D, S) for S in curves) for D in divisors)
-    det = _int_det([list(row) for row in matrix])
+    det = int_det(matrix)
     if abs(det) != 1:
         raise InvariantViolation(f"|det(I_X)| = {abs(det)} != 1 for base {B.name}")
     return matrix, det
-
-
-def _basis_class(B: BaseSurface, i: int) -> BaseClass:
-    coords = [0] * B.rank
-    coords[i] = 1
-    return BaseClass(coords)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination; entries stay integral.
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def is_ample_X(omega: DivisorX) -> bool:
@@ -186,19 +156,16 @@ def is_effective_curve_X(S: CurveX) -> bool:
     return S.fiber >= 0 and is_effective_base(S.over, S.section_push)
 
 
-_PENCIL_BASES = ("F0", "F1")
-
-
 def k3_pencil_relations(B: BaseSurface) -> list[dict]:
     """Verify the intersection relations of the K3 fiber divisor D = p^*Xi.
 
-    Only the Hirzebruch presets carry the pencil.  Returns one record per
-    relation with the computed value; raises InvariantViolation on mismatch.
+    Needs a base whose basis is (C0, Xi) for a K3 pencil (see
+    has_k3_pencil).  Returns one record per relation with the computed
+    value; raises InvariantViolation on mismatch.
     """
-    if B.name not in _PENCIL_BASES:
-        raise ValueError(f"base {B.name} has no elliptic K3 pencil (need F0 or F1)")
-    xi = _basis_class(B, 1)
-    c0 = _basis_class(B, 0)
+    require_k3_pencil(B)
+    xi = basis_class(B, 1)
+    c0 = basis_class(B, 0)
     D = pullback(B, xi)
     D0 = pullback(B, c0)
     f = fiber(B)

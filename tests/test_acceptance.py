@@ -1,325 +1,29 @@
-"""Acceptance suite: one test per criterion, exact rational arithmetic
-throughout (tolerance zero), with a pass/fail line and the elapsed time
-printed for each criterion.
+"""Acceptance suite: one test per criterion of the registry in
+``ellfm.selftest``, with the same bodies, seeds and time budgets that
+``ellfm selftest`` runs.  Each test prints a pass/fail line with the elapsed
+time.
 
-The adiabatic comparison constants (the lower threshold t1 and the
-boundedness constant behind it) are not constructive; the computable
-substitutes exercised here are s1, t2, the wall bounds, and the invariant
-checks below.
-
-Run with ``pytest -s tests/test_acceptance.py`` to see the report lines.
+The tests are generated in a loop over the registry and named
+``test_criterion_<number>_<name>``.  Run with
+``pytest -s tests/test_acceptance.py`` to see the report lines.
 """
 
-import itertools
-import math
-import random
-import time
-from fractions import Fraction
-
-from ellfm import (
-    BaseClass,
-    Dim1Chern,
-    Dim2Chern,
-    InvariantTable,
-    K3Invariants,
-    KahlerParams,
-    agree_through,
-    compute_s1,
-    compute_t2,
-    delta_additivity_deficit,
-    dt_table_from_omega,
-    eisenstein,
-    enumerate_Gamma,
-    enumerate_S,
-    enumerate_Sprime,
-    enumerate_subeffective,
-    eta24,
-    f_s_value,
-    intersection_matrix_X,
-    inv_eta24,
-    make_base,
-    omega_table_from_dt,
-    pair_base,
-    phi_map,
-    roundtrip_check,
-    sieve,
-    sigma_table,
-    slope_dim2,
-    wall_bound_ts,
-    z_series,
-    zero_class,
-)
-from ellfm.qseries import from_coefficients
-
-PRESETS = ("P2", "F0", "F1")
+from ellfm.selftest import CRITERIA
 
 
-def _report(number, description, budget_seconds, body):
-    start = time.perf_counter()
-    try:
-        detail = body()
-    except BaseException:
-        print(f"[FAIL] criterion {number}: {description}")
-        raise
-    elapsed = time.perf_counter() - start
-    print(f"[PASS] criterion {number}: {description} "
-          f"({detail}; {elapsed:.2f}s, budget {budget_seconds}s)")
-    assert elapsed < budget_seconds, f"criterion {number} exceeded its time budget"
+def _acceptance_test(criterion):
+    def test():
+        try:
+            line = criterion.run()
+        except BaseException:
+            print(f"[FAIL] {criterion.label}")
+            raise
+        print(f"[PASS] {line}")
+
+    test.__name__ = f"test_criterion_{criterion.number}_{criterion.name}"
+    return test
 
 
-def _random_effective(B, rng, top=4):
-    while True:
-        coeffs = [rng.randint(0, top) for _ in B.effective_generators]
-        if any(coeffs):
-            cls = zero_class(B.rank)
-            for c, g in zip(coeffs, B.effective_generators):
-                cls = cls + c * g
-            return cls
-
-
-def _contexts(B, kc_bound=6, chi_bound=4, n_bound=4):
-    """All (C, k2, n) with C effective nonzero, |K_B.C| <= kc_bound,
-    1 <= chi <= chi_bound, 0 <= n <= n_bound."""
-    big = kc_bound * B.minus_canonical
-    for C in enumerate_subeffective(B, big):
-        if C.is_zero():
-            continue
-        kc = pair_base(B, B.canonical, C)
-        if -kc > kc_bound:
-            continue
-        for chi in range(1, chi_bound + 1):
-            for n in range(0, n_bound + 1):
-                yield C, 2 * chi + kc, n, chi
-
-
-def test_criterion_1_lattice_unimodularity():
-    def body():
-        for name in PRESETS:
-            _, det = intersection_matrix_X(make_base(name))
-            assert abs(det) == 1
-        return "P2, F0, F1"
-
-    _report(1, "lattice unimodularity |det(I_X)| = 1", 1.0, body)
-
-
-def test_criterion_2_slope_reproduction():
-    def body():
-        rng = random.Random(2024)
-        total = 0
-        for name in PRESETS:
-            B = make_base(name)
-            K = B.canonical
-            for _ in range(1000):
-                C = _random_effective(B, rng)
-                alpha = zero_class(B.rank)
-                if rng.random() >= 0.5:
-                    alpha = BaseClass(tuple(rng.randint(-5, 5)
-                                            for _ in range(B.rank)))
-                if alpha.is_zero():
-                    k2 = 2 * rng.randint(-8, 8) + pair_base(B, K, C)
-                else:
-                    k2 = rng.randint(-16, 16)
-                gamma = Dim2Chern(C, alpha, k2, rng.randint(-5, 5))
-                t = Fraction(rng.randint(1, 20), rng.randint(1, 10))
-                s = t + Fraction(rng.randint(1, 20), rng.randint(1, 10))
-                # slope_dim2 computes the ring route and the closed form and
-                # raises unless they agree exactly
-                slope_dim2(B, gamma, KahlerParams(t, s))
-                total += 1
-        return f"{total} random (gamma, omega) pairs"
-
-    _report(2, "slope ring route equals closed form exactly", 5.0, body)
-
-
-def test_criterion_3_fm_round_trip():
-    def body():
-        rng = random.Random(3)
-        total = 0
-        for name in PRESETS:
-            B = make_base(name)
-            for _ in range(500):
-                gh = Dim1Chern(BaseClass(tuple(rng.randint(-8, 8)
-                                               for _ in range(B.rank))),
-                               rng.randint(-8, 8), rng.randint(-8, 8))
-                assert roundtrip_check(B, gh)
-                assert roundtrip_check(B, phi_map(B, gh))
-                total += 2
-        return f"{total} invariant vectors"
-
-    _report(3, "transform round trip: complex -Id, sheaf Id", 1.0, body)
-
-
-def test_criterion_4_s_set_bounds():
-    def body():
-        total = 0
-        for name in ("F1", "P2"):
-            B = make_base(name)
-            for C, k2, n, chi in _contexts(B):
-                for e in enumerate_S(B, C, k2, n):
-                    assert 0 <= e.l <= chi
-                    assert abs(n * e.l - e.m * chi) <= n * chi
-                total += 1
-        return f"{total} contexts"
-
-    _report(4, "S-set bounds 0 <= l <= chi and |nl - m chi| <= n chi", 10.0, body)
-
-
-def test_criterion_5_s1_soundness():
-    def body():
-        total = 0
-        for name in ("F1", "P2"):
-            B = make_base(name)
-            for C, k2, n, _ in _contexts(B):
-                s1 = compute_s1(B, C, k2, n)
-                for e in enumerate_Sprime(B, C, k2, n):
-                    assert f_s_value(B, s1 + 1, e, C, k2, n) < 0
-                total += 1
-        return f"{total} contexts at s = s1 + 1"
-
-    _report(5, "s1 soundness: f_s < 0 on all of S'", 5.0, body)
-
-
-def test_criterion_6_t2_closed_form():
-    def body():
-        total = 0
-        for r in range(1, 5):
-            for n in range(0, 7):
-                parts = {part for element in enumerate_Gamma(n, r)
-                         for part in element}
-                for s in (Fraction(2), Fraction(3), Fraction(7, 2)):
-                    by_enumeration = s * min(Fraction(2, 1 + ri ** 3 * ni)
-                                             for (ni, ri) in parts)
-                    assert by_enumeration == Fraction(2) * s / (1 + r ** 3 * n)
-                    # compute_t2 re-runs the enumeration internally and
-                    # raises on any mismatch with the closed form
-                    assert compute_t2(r, n, s) == by_enumeration
-                    total += 1
-        return f"{total} (r, n, s) triples"
-
-    _report(6, "t2 enumeration over Gamma(n, r) equals 2s/(1 + r^3 n)", 5.0, body)
-
-
-def test_criterion_7_series_oracles():
-    def body():
-        order = 500
-        # independent oracle: term-by-term product expansion
-        coeffs = [1] + [0] * (order - 1)
-        for n in range(1, order):
-            for _ in range(24):
-                for i in range(order - 1, n - 1, -1):
-                    coeffs[i] -= coeffs[i - n]
-        e = eta24(order)
-        assert [e.coefficient(1 + i) for i in range(order)] == coeffs
-
-        inv_coeffs = [1] + [0] * (order + 1)
-        for n in range(1, order + 2):
-            for _ in range(24):
-                for i in range(n, order + 2):
-                    inv_coeffs[i] += inv_coeffs[i - n]
-        inv = inv_eta24(order)
-        assert [inv.coefficient(-1 + i) for i in range(order + 2)] == inv_coeffs
-
-        product = eisenstein(4, 200) * eisenstein(6, 200)
-        assert product.coeffs == eisenstein(10, 200).coeffs
-
-        table = sigma_table(9, 500)
-        for n in range(1, 501):
-            assert table[n] == sum(d ** 9 for d in range(1, n + 1) if n % d == 0)
-        return "eta^24, eta^-24 to order 500; E10 = E4*E6 to 200; sigma_9 to 500"
-
-    _report(7, "series oracles against brute-force expansions", 30.0, body)
-
-
-def test_criterion_8_sieve_partition():
-    def body():
-        rng = random.Random(8)
-        total = 0
-        for _ in range(100):
-            f = from_coefficients(rng.randint(-6, 6),
-                                  [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                                   for _ in range(30)])
-            for r in range(1, 13):
-                acc = sieve(f, r, 0)
-                for k in range(1, r):
-                    acc = acc + sieve(f, r, k)
-                assert acc.offset == f.offset and acc.coeffs == f.coeffs
-                total += 1
-        return f"{total} (series, modulus) pairs"
-
-    _report(8, "sieve partition sum_k f_{r,k} = f", 5.0, body)
-
-
-def test_criterion_9_z_consistency():
-    def body():
-        for convention, delta_inverse in (("cusp", inv_eta24), ("paper", eta24)):
-            direct = (delta_inverse(104) * eisenstein(10, 104)).scale(-2)
-            for k in (1, 2):
-                z = z_series(1, k, 100, convention)
-                assert agree_through(z.series, direct, 100)
-        for r in (1, 2, 3):
-            for convention in ("cusp", "paper"):
-                z = z_series(r, 1, 60, convention)
-                assert z.series.integral_coefficients()
-        return "rank one vs direct product to order 100; integrality to r = 3"
-
-    _report(9, "Z series consistency in both Delta conventions", 30.0, body)
-
-
-def test_criterion_10_multicover_round_trip():
-    def body():
-        rng = random.Random(10)
-        total = 0
-        for g in range(1, 13):
-            for _ in range(10):
-                raw = (rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4))
-                d = math.gcd(math.gcd(raw[0], raw[1]), raw[2])
-                base = tuple(x // d for x in raw)
-                support = {tuple(x * m for x in base) for m in range(1, g + 1)}
-                omega = InvariantTable("Omega", {
-                    gamma: Fraction(rng.randint(-99, 99), rng.randint(1, 9))
-                    for gamma in support
-                })
-                assert omega_table_from_dt(dt_table_from_omega(omega)).entries \
-                    == omega.entries
-                dt = InvariantTable("DT", dict(omega.entries))
-                assert dt_table_from_omega(omega_table_from_dt(dt)).entries \
-                    == dt.entries
-                total += 1
-        return f"{total} tables with gcd up to 12"
-
-    _report(10, "multicover sum and Mobius inversion are mutual inverses",
-            1.0, body)
-
-
-def test_criterion_11_wall_bounds():
-    def body():
-        grid = [Fraction(j, 4) for j in range(0, 29)]
-        for r in range(1, 7):
-            for d1, d2 in itertools.pairwise(grid):
-                assert wall_bound_ts(r, d2) < wall_bound_ts(r, d1)
-        for delta in grid[1:]:
-            for r in range(1, 6):
-                assert wall_bound_ts(r + 1, delta) < wall_bound_ts(r, delta)
-
-        rng = random.Random(11)
-        total = 0
-        while total < 500:
-            # slope equality on the pencil fiber forces b = 2a(1 - s/t),
-            # so a and b have opposite signs for s > t
-            a = rng.choice([x for x in range(-6, 7) if x != 0])
-            b = -rng.randint(1, 9) if a > 0 else rng.randint(1, 9)
-            r1, r2 = rng.randint(1, 4), rng.randint(1, 4)
-            m1, l1 = rng.randint(-4, 4), rng.randint(-4, 4)
-            if (a + r2 * m1) % r1 or (b + r2 * l1) % r1:
-                continue
-            m2 = (a + r2 * m1) // r1
-            l2 = (b + r2 * l1) // r1
-            g1 = K3Invariants(r1, m1, l1, rng.randint(0, 5))
-            g2 = K3Invariants(r2, m2, l2, rng.randint(0, 5))
-            deficit = delta_additivity_deficit(g1, g2)
-            assert deficit >= 0
-            total += 1
-        return f"grid of wall bounds; {total} constrained additivity samples"
-
-    _report(11, "wall bounds decrease in r and delta; additivity deficit >= 0",
-            5.0, body)
+for _criterion in CRITERIA:
+    _test = _acceptance_test(_criterion)
+    globals()[_test.__name__] = _test

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from ellfm import selftest
 from ellfm.cli import main
+from ellfm.errors import InvariantViolation
 
 
 def run(capsys, *argv):
@@ -53,6 +57,14 @@ def test_fm_to_dual(capsys):
 def test_fm_needs_direction(capsys):
     code, _, err = run(capsys, "fm", "--gammahat", '{"C":[0,1],"m":2,"chi":1}')
     assert code == 2
+
+
+def test_fm_conflicting_directions_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fm", "--to-X", "--direction", "to-Xhat",
+              "--gammahat", '{"C":[0,1],"m":2,"chi":1}'])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_slope_command(capsys):
@@ -162,7 +174,37 @@ def test_determinism(capsys):
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert out.count("[PASS]") == 8
+    assert out.count("[PASS]") == 11
+    assert "[FAIL]" not in out
+
+
+def test_selftest_failure_exits_1(capsys, monkeypatch):
+    def broken():
+        raise InvariantViolation("deliberate failure")
+
+    monkeypatch.setattr(selftest, "CRITERIA", (
+        selftest.Criterion(1, "fine", "always passes", 1.0, lambda: "nothing to do"),
+        selftest.Criterion(2, "broken", "always fails", 1.0, broken),
+    ))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    passed, failed = out.splitlines()
+    assert passed.startswith("[PASS] criterion 1: always passes (nothing to do; ")
+    assert failed == "[FAIL] criterion 2: always fails (InvariantViolation: deliberate failure)"
+
+
+def test_lattice_pencil_from_lattice_data(tmp_path, capsys, quadric_json, f1_he_json):
+    path = tmp_path / "quadric.json"
+    path.write_text(json.dumps(quadric_json))
+    report = run_json(capsys, "--base", str(path), "lattice")
+    assert report["pencil_relations"] == \
+        run_json(capsys, "--base", "F0", "lattice")["pencil_relations"]
+    # F1 in the (h, e) basis has no (C0, Xi) basis, whatever its name
+    path = tmp_path / "f1_he.json"
+    path.write_text(json.dumps(f1_he_json))
+    report = run_json(capsys, "--base", str(path), "lattice")
+    assert report["base"]["name"] == "F1"
+    assert "pencil_relations" not in report
 
 
 def test_env_var_default_base(capsys, monkeypatch):

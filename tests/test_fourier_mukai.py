@@ -20,6 +20,7 @@ from ellfm import (
     tensor_unshift,
     zero_class,
 )
+from ellfm.base_geometry import base_from_json
 
 XI = BaseClass((0, 1))
 C0 = BaseClass((1, 0))
@@ -121,6 +122,18 @@ def test_pencil_invariants_examples(F1):
 def test_pencil_unsupported_base(P2):
     with pytest.raises(ValueError):
         pencil_invariants(P2, 1, 0, 1)
+
+
+def test_pencil_from_lattice_data(F0, quadric_json, f1_he_json):
+    quadric = base_from_json(quadric_json)
+    gamma = pencil_invariants(quadric, 2, 3, 2)
+    assert gamma == pencil_invariants(F0, 2, 3, 2)
+    assert k3_view(quadric, gamma) == k3_view(F0, gamma)
+    f1_he = base_from_json(f1_he_json)
+    with pytest.raises(ValueError):
+        k3_view(f1_he, Dim2Chern(XI, ZERO2, 0, 0))
+    with pytest.raises(ValueError):
+        pencil_invariants(f1_he, 1, 0, 1)
 
 
 def test_k3_view(F1):

@@ -1,8 +1,9 @@
 """Oracles for the modular machinery.
 
-Brute-force product expansions and trial-division divisor sums are computed
-here, independently of the pentagonal/accumulation routes used by the
-package, and frozen well-known leading coefficients are asserted directly.
+Brute-force product expansions and trial-division divisor sums (shared with
+acceptance criterion 7) are independent of the pentagonal/accumulation routes
+used by the package; frozen well-known leading coefficients are asserted
+directly.
 """
 
 from fractions import Fraction
@@ -10,30 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ellfm import agree_through, eisenstein, eta24, gv_from_z, inv_eta24, sigma_table, z_series
-
-
-def brute_force_eta24(order):
-    """Expand prod (1 - q^n)^24 term by term, then shift by q."""
-    coeffs = [1] + [0] * (order - 1)
-    for n in range(1, order):
-        for _ in range(24):
-            for i in range(order - 1, n - 1, -1):
-                coeffs[i] -= coeffs[i - n]
-    return coeffs  # coefficient of q^(1 + i)
-
-
-def brute_force_inv_eta24(order):
-    """Expand prod (1 - q^n)^-24 with geometric-series passes, shift q^-1."""
-    coeffs = [1] + [0] * (order + 1)
-    for n in range(1, order + 2):
-        for _ in range(24):
-            for i in range(n, order + 2):
-                coeffs[i] += coeffs[i - n]
-    return coeffs  # coefficient of q^(-1 + i)
-
-
-def trial_division_sigma(power, n):
-    return sum(d ** power for d in range(1, n + 1) if n % d == 0)
+from ellfm.selftest import brute_force_eta24, brute_force_inv_eta24, trial_division_sigma
 
 
 def test_eta24_known_values():

@@ -22,6 +22,7 @@ from ellfm import (
     enumerate_Gamma,
     enumerate_S,
     enumerate_Sprime,
+    enumerate_subeffective,
     eta_wall,
     f_s_value,
     jh_constraints,
@@ -34,6 +35,7 @@ from ellfm import (
     wall_bound_ts,
     zero_class,
 )
+from ellfm.selftest import contexts
 
 XI = BaseClass((0, 1))
 C0 = BaseClass((1, 0))
@@ -142,30 +144,25 @@ def test_enumerate_Sprime_examples(F1, P2):
         [((1,), 0, 0)]
 
 
+def _large_contexts(B):
+    """(C, k2, n, chi) with C <= 2(-K) and |K.C| > 6, chi in {1, 2} and
+    n in {0, 1, 2}: the supports beyond the |K.C| <= 6 cap of acceptance
+    criteria 4 and 5."""
+    for C in enumerate_subeffective(B, 2 * B.minus_canonical):
+        kc = pair_base(B, B.canonical, C)
+        if -kc > 6:
+            for chi in (1, 2):
+                for n in (0, 1, 2):
+                    yield C, 2 * chi + kc, n, chi
+
+
 def test_S_bounds_grid(F1, P2):
-    """0 <= l <= chi and |n l - m chi| <= n chi on a grid of contexts."""
+    """0 <= l <= chi and |n l - m chi| <= n chi on large supports."""
     for B in (F1, P2):
-        K = B.canonical
-        for C in _effective_classes(B, bound=6):
-            kc = -pair_base(B, K, C)
-            for chi in range(1, 5):
-                k2 = 2 * chi + pair_base(B, K, C)
-                for n in range(0, 5):
-                    for e in enumerate_S(B, C, k2, n):
-                        assert 0 <= e.l <= chi
-                        assert abs(n * e.l - e.m * chi) <= n * chi
-
-
-def _effective_classes(B, bound):
-    from ellfm import enumerate_subeffective
-    big = bound * B.minus_canonical
-    out = []
-    for C in enumerate_subeffective(B, big):
-        if C.is_zero():
-            continue
-        if -pair_base(B, B.canonical, C) <= bound:
-            out.append(C)
-    return out
+        for C, k2, n, chi in _large_contexts(B):
+            for e in enumerate_S(B, C, k2, n):
+                assert 0 <= e.l <= chi
+                assert abs(n * e.l - e.m * chi) <= n * chi
 
 
 def test_f_s_examples(F1):
@@ -201,13 +198,41 @@ def test_compute_s1_nontrivial(F1):
 
 def test_s1_soundness_grid(F1, P2):
     for B in (F1, P2):
-        for C in _effective_classes(B, bound=6):
-            for chi in range(1, 5):
-                k2 = 2 * chi + pair_base(B, B.canonical, C)
-                for n in range(0, 5):
-                    s1 = compute_s1(B, C, k2, n)
-                    for e in enumerate_Sprime(B, C, k2, n):
-                        assert f_s_value(B, s1 + 1, e, C, k2, n) < 0
+        for C, k2, n, _ in _large_contexts(B):
+            s1 = compute_s1(B, C, k2, n)
+            for e in enumerate_Sprime(B, C, k2, n):
+                assert f_s_value(B, s1 + 1, e, C, k2, n) < 0
+
+
+def test_f_s_membership_matches_enumeration(F1, P2):
+    """f_s_value accepts exactly the elements of S' (as enumerated) on the
+    contexts of acceptance criterion 5.  Elements of S with d1 = 0 and
+    elements of S' perturbed in one defining condition are rejected."""
+    rejected = {"d1 = 0": 0, "half-integral l": 0}
+    for B in (F1, P2):
+        beyond = B.effective_generators[0]
+        for C, k2, n, _ in contexts(B):
+            sprime = enumerate_Sprime(B, C, k2, n)
+            members = set(sprime)
+            for e in enumerate_S(B, C, k2, n):
+                if e in members:
+                    f_s_value(B, 2, e, C, k2, n)
+                else:
+                    with pytest.raises(ValueError):
+                        f_s_value(B, 2, e, C, k2, n)
+                    rejected["d1 = 0"] += 1
+            if not sprime:
+                continue
+            # perturbations that keep d1 <= -1, so only the named condition fails
+            e = max(sprime, key=lambda x: x.l)
+            bad = [SElement(e.Cprime, e.l, n + 1), SElement(C + beyond, e.l, e.m)]
+            if e.l >= 1:
+                bad.append(SElement(e.Cprime, e.l - Fraction(1, 2), e.m))
+                rejected["half-integral l"] += 1
+            for x in bad:
+                with pytest.raises(ValueError):
+                    f_s_value(B, 2, x, C, k2, n)
+    assert all(rejected.values()), rejected
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ellfm import (
     is_ample_X,
     is_effective_curve_X,
     k3_pencil_relations,
+    make_base,
     mult_div_div,
     pair_base,
     pair_div_curve,
@@ -137,6 +138,19 @@ def test_base_mismatch_rejected(F0, F1):
         mult_div_div(theta(F0), theta(F1))
     with pytest.raises(ValueError):
         pair_div_curve(theta(F0), fiber(F1))
+    with pytest.raises(ValueError):
+        fiber(F0) + fiber(F1)
+
+
+def test_same_base_by_lattice_data(F0):
+    a, b, c = (make_base("F1") for _ in range(3))
+    assert triple(theta(a), theta(b), theta(c)) == 8
+    assert fiber(a) + fiber(b) == 2 * fiber(c)
+    renamed = make_base(a.gram, a.canonical, a.effective_generators, name="hirzebruch-1")
+    assert renamed == a
+    assert triple(theta(renamed), theta(a), theta(a)) == 8
+    with pytest.raises(ValueError):
+        triple(theta(a), theta(F0), theta(a))
 
 
 def test_divisor_curve_json_round_trip(F1):
