@@ -289,5 +289,10 @@ def base_to_json(B: BaseSurface) -> dict:
 
 
 def base_from_json(data: dict) -> BaseSurface:
-    return make_base(data["gram"], data["canonical"], data["effective"],
+    from .jsonio import int_vector, json_list, json_object
+
+    data = json_object(data, "base")
+    gram, effective = ([int_vector(row, key) for row in json_list(data[key], key)]
+                       for key in ("gram", "effective"))
+    return make_base(gram, int_vector(data["canonical"], "canonical"), effective,
                      name=data.get("name", "custom"))

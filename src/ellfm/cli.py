@@ -2,7 +2,8 @@
 
 Subcommands: lattice, slope, thresholds, fm, zseries, invert, selftest.
 Exit codes: 0 on success, 1 when a mathematical invariant check fails,
-2 on usage errors (bad flags, malformed input, violated preconditions).
+2 on usage errors (bad flags, malformed input, unreadable files, violated
+preconditions, a zseries beyond its size cap).
 
 Every report embeds the Delta convention and normalization notes where they
 apply, so downstream tables are self-describing.  The default base preset
@@ -168,7 +169,7 @@ def cmd_thresholds(args) -> int:
         walls = []
         if args.wall_candidates is not None:
             candidates = _parse_json_arg(args.wall_candidates, "--wall-candidates")
-            for entry in candidates:
+            for entry in jsonio.json_list(candidates, "--wall-candidates"):
                 gp = jsonio.k3_from_json(entry)
                 wall = st.eta_wall(gp, v, s)
                 root = None if wall.root is None else jsonio.frac_str(wall.root)
@@ -329,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[shared])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=20)
+    p.add_argument("--order", type=int, default=20,
+                   help=f"last q-exponent; r * (order + 1) + 2 may be at most "
+                        f"{modular.MAX_U_ORDER}")
     p.add_argument("--delta-convention", choices=modular.DELTA_CONVENTIONS,
                    default="cusp", dest="delta_convention")
 
@@ -361,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:  # UsageError is a ValueError
+    except (ValueError, KeyError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

@@ -170,8 +170,10 @@ def table_to_json(table: InvariantTable) -> dict:
 
 
 def table_from_json(data: dict) -> InvariantTable:
-    from .jsonio import parse_frac
+    from .jsonio import int_field, json_list, json_object, parse_frac
 
-    entries = {(e["r"], e["n"], e["k"]): parse_frac(e["value"])
-               for e in data["entries"]}
+    data = json_object(data, "table")
+    rows = [json_object(e, "table entry") for e in json_list(data["entries"], "entries")]
+    entries = {(int_field(e, "r"), int_field(e, "n"), int_field(e, "k")): parse_frac(e["value"])
+               for e in rows}
     return InvariantTable(data["kind"], entries, note=data.get("note", ""))

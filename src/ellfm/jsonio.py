@@ -1,7 +1,10 @@
 """Serialization for the documented JSON schemas.
 
 Rationals travel as strings: "p/q", or just "p" when integral.  Integer
-fields stay native JSON integers.
+fields stay native JSON integers.  Input is checked against the schema
+before use: objects must be JSON objects, vectors JSON lists, and integer
+fields JSON integers (never booleans, and floats are refused rather than
+truncated); a violation is a ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -27,25 +30,46 @@ def frac_str(value) -> str:
     return str(Fraction(value))  # "p/q", or "p" when integral
 
 
-def _int_vector(values, label: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{label} must be a vector of integers")
-        out.append(v)
-    return tuple(out)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rat_vector(values) -> tuple[Fraction, ...]:
-    return tuple(parse_frac(v) for v in values)
+def json_object(data, label: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} must be a JSON object, got {data!r:.40}")
+    return data
+
+
+def json_list(data, label: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{label} must be a JSON list, got {data!r:.40}")
+    return data
+
+
+def int_field(data: dict, key: str) -> int:
+    value = data[key]
+    if not _is_int(value):
+        raise ValueError(f"field {key!r} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
+def int_vector(values, label: str) -> tuple[int, ...]:
+    if not all(map(_is_int, json_list(values, label))):
+        raise ValueError(f"{label} must be a vector of integers")
+    return tuple(values)
+
+
+def _rat_vector(values, label: str) -> tuple[Fraction, ...]:
+    return tuple(parse_frac(v) for v in json_list(values, label))
 
 
 # -- Chern data -------------------------------------------------------------
 
 def dim2_from_json(data: dict) -> Dim2Chern:
-    C = BaseClass(_int_vector(data["C"], "C"))
-    alpha = BaseClass(_int_vector(data.get("alpha", [0] * len(C)), "alpha"))
-    return Dim2Chern(C=C, alpha=alpha, k2=int(data["k2"]), n=int(data["n"]))
+    data = json_object(data, "two-dimensional invariants")
+    C = BaseClass(int_vector(data["C"], "C"))
+    alpha = BaseClass(int_vector(data.get("alpha", [0] * len(C)), "alpha"))
+    return Dim2Chern(C=C, alpha=alpha, k2=int_field(data, "k2"), n=int_field(data, "n"))
 
 
 def dim2_to_json(gamma: Dim2Chern) -> dict:
@@ -54,8 +78,9 @@ def dim2_to_json(gamma: Dim2Chern) -> dict:
 
 
 def dim1_from_json(data: dict) -> Dim1Chern:
-    return Dim1Chern(C=BaseClass(_int_vector(data["C"], "C")),
-                     m=int(data["m"]), chi=int(data["chi"]))
+    data = json_object(data, "one-dimensional invariants")
+    return Dim1Chern(C=BaseClass(int_vector(data["C"], "C")),
+                     m=int_field(data, "m"), chi=int_field(data, "chi"))
 
 
 def dim1_to_json(gammahat: Dim1Chern) -> dict:
@@ -63,8 +88,9 @@ def dim1_to_json(gammahat: Dim1Chern) -> dict:
 
 
 def k3_from_json(data: dict) -> K3Invariants:
-    return K3Invariants(r=int(data["r"]), m=int(data["m"]),
-                        l=int(data["l"]), n=int(data["n"]))
+    data = json_object(data, "K3 invariants")
+    return K3Invariants(r=int_field(data, "r"), m=int_field(data, "m"),
+                        l=int_field(data, "l"), n=int_field(data, "n"))
 
 
 def k3_to_json(v: K3Invariants) -> dict:
@@ -74,8 +100,9 @@ def k3_to_json(v: K3Invariants) -> dict:
 # -- classes on the threefold ------------------------------------------------
 
 def divisor_from_json(data: dict, B) -> DivisorX:
+    data = json_object(data, "divisor")
     return DivisorX(theta=parse_frac(data["theta"]),
-                    pullback=BaseClass(_rat_vector(data["pullback"])), over=B)
+                    pullback=BaseClass(_rat_vector(data["pullback"], "pullback")), over=B)
 
 
 def divisor_to_json(D: DivisorX) -> dict:
@@ -84,8 +111,9 @@ def divisor_to_json(D: DivisorX) -> dict:
 
 
 def curve_from_json(data: dict, B) -> CurveX:
+    data = json_object(data, "curve")
     return CurveX(fiber=parse_frac(data["fiber"]),
-                  section_push=BaseClass(_rat_vector(data["section"])), over=B)
+                  section_push=BaseClass(_rat_vector(data["section"], "section")), over=B)
 
 
 def curve_to_json(S: CurveX) -> dict:

@@ -1,13 +1,15 @@
 """Eta products, Eisenstein series, and the sheaf-counting series Z_{r,k}.
 
-The generating series for rank-r counts on an elliptic K3 pencil is
-assembled from arithmetic-progression sieves of 1/Delta and E_10 in an
-auxiliary variable u with q = u^r:
+The generating series for rank-r counts on an elliptic K3 pencil is defined
+by arithmetic-progression sieves of 1/Delta and E_10 in a variable u, q = u^r:
 
     Z_{r,k}(q) = -2 * sum_{l=0}^{r-1} (1/Delta(u))_{r, l-1} * (E_10(u))_{r, 1-l}
 
-The right-hand side does not involve k; the label is kept because the
-counts it packages are conjecturally independent of that index.
+The residue pairs (l - 1, 1 - l) run over all pairs summing to 0 mod r, so
+Z_{r,k} = -2 U_r(E_10/Delta), i.e. Z_r[q^n] = Z_1[q^(rn)]: that is how it is
+computed, on Python ints; the sieve formula is the definition and the test
+oracle.  The right-hand side does not involve k; the label is kept because
+the counts it packages are conjecturally independent of that index.
 
 Two conventions for Delta are supported and recorded in every result:
 
@@ -26,42 +28,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvariantViolation
-from .qseries import QSeries, _power, collapse, sieve
+from .qseries import QSeries, _convolve, _inverse, _power
 
 DELTA_CONVENTIONS = ("cusp", "paper")
+
+# Largest u-order r * (order + 1) + 2 that z_series accepts (about 2 s of work)
+MAX_U_ORDER = 2000
 
 # 1 - 2k/B_k for the supported weights: B_4 = -1/30, B_6 = 1/42, B_10 = 5/66
 _EISENSTEIN_CONST = {4: 240, 6: -504, 10: -264}
 
 
-def _euler_product(order: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 - q^n) for exponents 0..order, by the
-    pentagonal number expansion."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    j = 1
-    while True:
-        e1 = j * (3 * j - 1) // 2
-        e2 = j * (3 * j + 1) // 2
-        if e1 > order and e2 > order:
-            break
-        sign = -1 if j % 2 else 1
-        if e1 <= order:
-            coeffs[e1] = sign
-        if e2 <= order:
-            coeffs[e2] = sign
-        j += 1
-    return coeffs
+def _eta24_body(order: int) -> list[int]:
+    """Coefficients of prod_{n>=1} (1 - q^n)^24 for exponents 0..order, as the
+    8th power of Jacobi's prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2)."""
+    cube = [0] * (order + 1)
+    k = 0
+    while k * (k + 1) // 2 <= order:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return _power(cube, 8, order)
 
 
 def eta24(order: int) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24 on the window [1, order]."""
     if order < 1:
         raise ValueError("need order >= 1")
-    body = _power(_euler_product(order - 1), 24, order - 1)
-    return QSeries(1, body)
+    return QSeries(1, _eta24_body(order - 1))
 
 
 def inv_eta24(order: int) -> QSeries:
@@ -81,27 +77,28 @@ def sigma_table(power: int, upto: int) -> list[int]:
     return sums
 
 
+def _eisenstein_body(k: int, order: int) -> list[int]:
+    sums = sigma_table(k - 1, order)
+    return [1] + [_EISENSTEIN_CONST[k] * sums[n] for n in range(1, order + 1)]
+
+
+def _e10(order: int) -> list[int]:
+    """E_10 through q^order, checked against E_4 * E_6 (weight 10 is one-dimensional)."""
+    e10 = _eisenstein_body(10, order)
+    if _convolve(_eisenstein_body(4, order), _eisenstein_body(6, order), order) != e10:
+        raise InvariantViolation("E_10 disagrees with E_4 * E_6")
+    return e10
+
+
 def eisenstein(k: int, order: int) -> QSeries:
     """Normalized Eisenstein series of weight k in {4, 6, 10}:
-    1 + const * sum sigma_{k-1}(n) q^n.
-
-    The weight-10 series is cross-checked against E_4 * E_6 through the
-    requested order (the space of weight-10 forms is one dimensional).
-    """
+    1 + const * sum sigma_{k-1}(n) q^n; E_10 is checked against E_4 * E_6."""
     if k not in _EISENSTEIN_CONST:
         raise ValueError(f"unsupported Eisenstein weight {k}; supported: "
                          f"{sorted(_EISENSTEIN_CONST)}")
     if order < 0:
         raise ValueError("need order >= 0")
-    const = _EISENSTEIN_CONST[k]
-    sums = sigma_table(k - 1, order)
-    coeffs = [1] + [const * sums[n] for n in range(1, order + 1)]
-    series = QSeries(0, coeffs)
-    if k == 10 and order >= 1:
-        product = eisenstein(4, order) * eisenstein(6, order)
-        if product.coeffs != series.coeffs:
-            raise InvariantViolation("E_10 disagrees with E_4 * E_6")
-    return series
+    return QSeries(0, _e10(order) if k == 10 else _eisenstein_body(k, order))
 
 
 @dataclass(frozen=True)
@@ -124,12 +121,8 @@ _NOTE_T1 = ("the series index k is a label: the assembled right-hand side "
 
 
 def z_series(r: int, k: int, order: int, convention: str = "cusp") -> ZSeriesResult:
-    """Assemble Z_{r,k} through q-exponent ``order``.
-
-    Works in the u variable, sieves 1/Delta and E_10 by residues l-1 and
-    1-l mod r, checks that every surviving u-exponent is divisible by r,
-    and collapses u^r -> q.
-    """
+    """Z_{r,k} through q-exponent ``order`` as -2 U_r(E_10/Delta); the
+    u-order r * (order + 1) + 2 may not exceed ``MAX_U_ORDER``."""
     if r < 1:
         raise ValueError("need r >= 1")
     if order < 1:
@@ -138,22 +131,19 @@ def z_series(r: int, k: int, order: int, convention: str = "cusp") -> ZSeriesRes
         raise ValueError(f"unknown Delta convention {convention!r}; choose from "
                          f"{DELTA_CONVENTIONS}")
     u_order = r * (order + 1) + 2
+    if u_order > MAX_U_ORDER:
+        raise ValueError(f"series too large: u-order r * (order + 1) + 2 = {u_order} "
+                         f"exceeds the cap {MAX_U_ORDER}")
+    # 1/Delta at u-exponents lo_u + j and E_10 at j, for j <= top: enough for u^(r * order)
+    lo_u = -1 if convention == "cusp" else 1
+    top = r * order - lo_u
+    inv_delta = _eta24_body(top)
     if convention == "cusp":
-        inv_delta = inv_eta24(u_order)
-    else:
-        inv_delta = eta24(u_order)
-    e10 = eisenstein(10, u_order)
-
-    total = None
-    for l in range(r):
-        term = sieve(inv_delta, r, l - 1) * sieve(e10, r, 1 - l)
-        total = term if total is None else total + term
-    try:
-        z = collapse(total, r).scale(-2)
-    except ValueError as exc:  # a surviving u-exponent not divisible by r
-        raise InvariantViolation(f"sieve assembly broken: {exc}") from None
-    if z.last_exponent > order:
-        z = z.truncate(order)
+        inv_delta = _inverse(inv_delta, top)
+    e10 = _e10(top)
+    lo = -(-lo_u // r)  # ceil(lo_u / r): the first multiple of r in the window
+    z = QSeries(lo, [-2 * sum(map(mul, inv_delta[:j + 1], e10[j::-1]))
+                     for j in range(r * lo - lo_u, top + 1, r)])
 
     lead = z.leading()
     if lead is None:

@@ -16,13 +16,15 @@ can be read back only where every contributing term was known:
   order.
 
 Offsets are rationals with denominator dividing 24 (enough for eta-quotient
-weights and half-integral gradings).  Coefficients are exact rationals.
+weights and half-integral gradings).  Coefficients are exact rationals;
+integral series are multiplied, powered and inverted on Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 Rat = int | Fraction
 
@@ -110,28 +112,21 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
-        return QSeries(self.offset + other.offset, _convolve(self.coeffs, other.coeffs, n))
+        a, b = (_kernel_input(f.coeffs[:n + 1]) for f in (self, other))
+        return QSeries(self.offset + other.offset, _convolve(a, b, n))
 
     def inverse(self) -> "QSeries":
         a = self.coeffs
         if a[0] == 0:
             raise ValueError("cannot invert: zero leading coefficient "
                              "(window starts with 0)")
-        n = self.order
-        inv0 = 1 / a[0]
-        b = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b[k] = -acc * inv0
-        return QSeries(-self.offset, b)
+        unit = a[0] in (1, -1)  # then an integral series has an integral inverse
+        return QSeries(-self.offset, _inverse(_kernel_input(a) if unit else a, self.order))
 
     def pow(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse().pow(-e)
-        return QSeries(e * self.offset, _power(self.coeffs, e, self.order))
+        return QSeries(e * self.offset, _power(_kernel_input(self.coeffs), e, self.order))
 
     def shift(self, delta: Rat) -> "QSeries":
         """Multiply by the monomial q^delta."""
@@ -151,30 +146,44 @@ class QSeries:
         return all(c.denominator == 1 for c in self.coeffs)
 
 
+def _kernel_input(coeffs) -> list:
+    """The coefficients as ints when all are integral (early exit), else unchanged."""
+    if all(c.denominator == 1 for c in coeffs):
+        return [c.numerator for c in coeffs]
+    return coeffs
+
+
 def _convolve(a, b, order: int) -> list:
-    """Coefficients 0..order of the product of two coefficient sequences
-    (integers or rationals), skipping zero terms."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j in range(min(order - i, len(b) - 1) + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+    """Coefficients 0..order of the product of two coefficient sequences,
+    one dot product per output coefficient."""
+    a, b = a[:order + 1], b[:order + 1]
+    out = []
+    for k in range(order + 1):
+        lo = max(0, k + 1 - len(b))
+        out.append(sum(map(mul, a[lo:k + 1], b[k - lo::-1])))
     return out
 
 
 def _power(a, e: int, order: int) -> list:
     """Coefficients 0..order of a^e for e >= 0, by binary powering."""
-    result = [1] + [0] * order
+    result = None
     while e:
         if e & 1:
-            result = _convolve(result, a, order)
+            result = a[:order + 1] if result is None else _convolve(result, a, order)
         e >>= 1
         if e:
             a = _convolve(a, a, order)
-    return result
+    return [1] + [0] * order if result is None else result
+
+
+def _inverse(a, order: int) -> list:
+    """Coefficients 0..order of 1/a for a[0] != 0, by the recurrence
+    sum_i a[i] b[k - i] = 0 for k >= 1; ints stay ints when a[0] = +-1."""
+    inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
+    b = [inv0]
+    for k in range(1, order + 1):
+        b.append(-inv0 * sum(map(mul, a[1:k + 1], reversed(b))))
+    return b
 
 
 def _window(f: QSeries, lo: Fraction, n: int) -> list[Fraction]:

@@ -171,6 +171,73 @@ def test_determinism(capsys):
     assert a == b
 
 
+def test_zseries_size_cap_exits_2(capsys):
+    code, out, err = run(capsys, "zseries", "--r", "1", "--k", "1", "--order", "1998")
+    assert code == 2 and out == ""
+    assert "u-order r * (order + 1) + 2 = 2001 exceeds the cap 2000" in err
+    code, _, err = run(capsys, "--format", "csv", "zseries", "--r", "999", "--k", "1",
+                       "--order", "1")
+    assert code == 0, err
+
+
+GOOD_GAMMA = '{"C":[0,1],"alpha":[0,0],"k2":2,"n":0}'
+K3 = '{"r":2,"m":0,"l":0,"n":1}'
+
+
+@pytest.mark.parametrize("argv, field", [
+    # a JSON value of the wrong type where an object is expected
+    (["slope", "--gamma", "[1,2]", "--t", "1", "--s", "2"], "must be a JSON object"),
+    (["thresholds", "--k3", "7", "--s", "2"], "must be a JSON object"),
+    (["fm", "--to-X", "--gammahat", '"C"'], "must be a JSON object"),
+    # ... where a vector or a list is expected
+    (["slope", "--gamma", '{"C": 3, "k2": 1, "n": 0}', "--t", "1", "--s", "2"], "C must be"),
+    (["thresholds", "--k3", K3, "--s", "2", "--wall-candidates", "5"], "--wall-candidates"),
+    # floats and booleans in integer fields
+    (["slope", "--gamma", '{"C":[0,1],"k2":2.7,"n":0}', "--t", "1", "--s", "2"], "'k2'"),
+    (["slope", "--gamma", '{"C":[0,1],"k2":true,"n":0}', "--t", "1", "--s", "2"], "'k2'"),
+    (["thresholds", "--gammahat", '{"C":[0,1],"m":0.5,"chi":1}'], "'m'"),
+    (["fm", "--to-X", "--gammahat", '{"C":[0,1],"m":1,"chi":1.5}'], "'chi'"),
+    (["thresholds", "--k3", '{"r":2.5,"m":0,"l":0,"n":1}', "--s", "3"], "'r'"),
+    (["thresholds", "--k3", '{"r":2,"m":0,"l":0.5,"n":1}', "--s", "3"], "'l'"),
+    (["slope", "--gamma", GOOD_GAMMA.replace('"n":0', '"n":1.0'), "--t", "1", "--s", "2"],
+     "'n'"),
+])
+def test_malformed_input_exits_2(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, field", [
+    ("table", "[1, 2]", "table must be a JSON object"),
+    ("table", '{"kind": "Omega", "entries": [7]}', "table entry must be"),
+    ("table", '{"kind": "Omega", "entries": [{"r": 1.5, "n": 0, "k": 1, "value": "3"}]}',
+     "'r'"),
+    ("base", "[1]", "base must be a JSON object"),
+    ("base", '{"gram": [[1.5]], "canonical": [-3], "effective": [[1]]}', "gram"),
+    ("base", '{"gram": 3, "canonical": [-3], "effective": [[1]]}', "gram"),
+    ("base", "", "Expecting value"),
+])
+def test_malformed_files_exit_2(tmp_path, capsys, name, text, field):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    if name == "table":
+        argv = ["invert", "--table", str(path), "--direction", "omega-to-dt"]
+    else:
+        argv = ["--base", str(path), "lattice"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_file_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "--base", str(tmp_path), "lattice")  # a directory
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

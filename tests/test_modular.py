@@ -10,8 +10,24 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import agree_through, eisenstein, eta24, gv_from_z, inv_eta24, sigma_table, z_series
+from ellfm import (agree_through, collapse, eisenstein, eta24, gv_from_z, inv_eta24, sieve,
+                   sigma_table, z_series)
+from ellfm.modular import DELTA_CONVENTIONS, MAX_U_ORDER
 from ellfm.selftest import brute_force_eta24, brute_force_inv_eta24, trial_division_sigma
+
+
+def sieve_assembly(r, order, convention):
+    """Z_{r,k} by its defining formula, -2 sum_l (1/Delta)_{r,l-1} (E_10)_{r,1-l}
+    in u with q = u^r: the independent route z_series is checked against."""
+    u_order = r * (order + 1) + 2
+    inv_delta = inv_eta24(u_order) if convention == "cusp" else eta24(u_order)
+    e10 = eisenstein(10, u_order)
+    total = None
+    for l in range(r):
+        term = sieve(inv_delta, r, l - 1) * sieve(e10, r, 1 - l)
+        total = term if total is None else total + term
+    z = collapse(total, r).scale(-2)
+    return z.truncate(order) if z.last_exponent > order else z
 
 
 def test_eta24_known_values():
@@ -108,6 +124,36 @@ def test_z_series_sieve_residues_pair_up():
     for r in (2, 3, 4):
         z = z_series(r, 1, 8, "cusp")
         assert z.series.offset.denominator == 1
+
+
+@pytest.mark.parametrize("convention", DELTA_CONVENTIONS)
+@pytest.mark.parametrize("r", range(1, 6))
+def test_z_series_matches_sieve_assembly(r, convention):
+    for order in (1, 2, 9):
+        z = z_series(r, 1, order, convention).series
+        oracle = sieve_assembly(r, order, convention)
+        assert (z.offset, z.order, z.coeffs) == (oracle.offset, oracle.order, oracle.coeffs)
+
+
+@pytest.mark.parametrize("convention", DELTA_CONVENTIONS)
+def test_z_series_is_u_r_of_rank_one(convention):
+    """Z_r[n] = Z_1[rn]: Z_{r,k} = -2 U_r(E_10/Delta)."""
+    order = 12
+    z1 = z_series(1, 1, 7 * order, convention).series
+    for r in range(1, 8):
+        zr = z_series(r, 1, order, convention).series
+        assert zr.last_exponent == order
+        assert zr.offset == -(-z1.offset // r)  # the first multiple of r in Z_1's window
+        assert all(zr.coefficient(n) == z1.coefficient(r * n)
+                   for n in range(int(zr.offset), order + 1))
+
+
+def test_z_series_size_cap():
+    # u-order r * (order + 1) + 2 at the cap is accepted, one above it is not
+    assert 999 * (1 + 1) + 2 == MAX_U_ORDER
+    assert z_series(999, 1, 1).series.last_exponent == 1
+    with pytest.raises(ValueError, match=f"= {MAX_U_ORDER + 1} exceeds the cap {MAX_U_ORDER}"):
+        z_series(1, 1, MAX_U_ORDER - 2)
 
 
 def test_z_series_rejects_bad_args():

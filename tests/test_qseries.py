@@ -5,6 +5,8 @@ import pytest
 
 from ellfm.qseries import (
     QSeries,
+    _convolve,
+    _inverse,
     agree_through,
     collapse,
     constant,
@@ -141,3 +143,69 @@ def test_shift_and_truncate():
     assert f.offset == Fraction(1, 2)
     cut = f.truncate(Fraction(5, 2))
     assert cut.order == 2
+
+
+def schoolbook_product(a, b, order):
+    """Reference for the dot-product kernel: the plain double loop."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[:order + 1]):
+        for j, bj in enumerate(b[:order + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def test_convolve_matches_schoolbook():
+    rng = random.Random(31)
+    for _ in range(50):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 12))]
+        order = rng.randint(0, 14)  # shorter and longer than the operands
+        assert _convolve(a, b, order) == schoolbook_product(a, b, order)
+        assert _convolve(a, a, order) == schoolbook_product(a, a, order)
+
+
+def integral_unit_series(rng, order=25):
+    lead = rng.choice((1, -1))
+    return from_coefficients(rng.randint(-4, 4), [lead] + [rng.randint(-9, 9) for _ in range(order)])
+
+
+def is_one(f):
+    return f.offset == 0 and f.coeffs == (1,) + (0,) * f.order
+
+
+def test_integral_fast_path_inverse_and_pow():
+    rng = random.Random(5)
+    for _ in range(20):
+        f = integral_unit_series(rng)
+        inv = f.inverse()
+        assert inv.offset == -f.offset and inv.integral_coefficients()
+        assert is_one(f * inv)
+        # the int kernel agrees with the same recurrence run on Fractions
+        assert inv.coeffs == tuple(_inverse([Fraction(c) for c in f.coeffs], f.order))
+        for e in (1, 2, 3):
+            repeated = inv
+            for _ in range(e - 1):
+                repeated = repeated * inv
+            assert f.pow(-e) == repeated
+            assert is_one(f.pow(-e) * f.pow(e))
+
+
+def test_fraction_path_stays_exact():
+    two_minus_q = from_coefficients(0, [2, -1] + [0] * 10)  # non-unit leading coefficient
+    assert two_minus_q.inverse().coeffs == tuple(Fraction(1, 2 ** (n + 1)) for n in range(12))
+    half_q = from_coefficients(Fraction(1, 2), [1, Fraction(-1, 2)] + [0] * 10)  # fractional
+    inv = half_q.inverse()
+    assert inv.offset == Fraction(-1, 2)
+    assert inv.coeffs == tuple(Fraction(1, 2 ** n) for n in range(12))
+    assert is_one(half_q * inv)
+    assert half_q.pow(-2).coeffs == tuple(Fraction(n + 1, 2 ** n) for n in range(12))
+
+
+def test_kernel_results_are_fractions():
+    rng = random.Random(6)
+    f, g = integral_unit_series(rng), integral_unit_series(rng)
+    h = from_coefficients(0, [Fraction(3, 2), 1, 2])
+    results = [f * g, f.inverse(), f.pow(3), f.pow(-2), f.pow(0), h * h, h.inverse(), h.pow(-1)]
+    for series in results:
+        assert all(type(c) is Fraction for c in series.coeffs)
+        assert type(series.offset) is Fraction
