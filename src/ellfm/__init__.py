@@ -64,6 +64,7 @@ from .stability import (
     enumerate_Sprime,
     eta_wall,
     f_s_value,
+    gamma_parts,
     jh_constraints,
     nu_dim2,
     restriction_chi,

@@ -16,16 +16,24 @@ Effective cones are required to be simplicial: exactly rank linearly
 independent generators (the effective cone of a projective surface contains
 the open ample cone, so it is full-dimensional), and effectivity means
 membership in the monoid of non-negative integer combinations of the
-generators.  All preset cones are of this form.
+generators.  All preset cones are of this form.  ``make_base`` inverts the
+generator matrix once (determinant and cofactors), so cone membership costs
+one integer matrix-vector product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import check_enumeration_size, require_int
+
 Rat = int | Fraction
+
+# Smooth del Pezzo surfaces are P1 x P1 and P2 blown up in at most 8 points.
+MAX_PICARD_RANK = 9
 
 
 def _as_rat(x) -> Rat:
@@ -62,7 +70,7 @@ class BaseClass:
         return all(c == 0 for c in self.coords)
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.coords)
+        return all(c.denominator == 1 for c in self.coords)
 
 
 def zero_class(rank: int) -> BaseClass:
@@ -73,13 +81,17 @@ def zero_class(rank: int) -> BaseClass:
 class BaseSurface:
     """Fano base lattice: intersection form, canonical class, effective cone.
 
-    Equality is decided by the lattice data alone; the name is a label."""
+    Equality is decided by the lattice data alone; the name is a label, and
+    ``cone_inverse`` is derived from the generators: (det, cofactor rows) of
+    the generator matrix, so that C = sum_j a_j g_j has
+    a_j = (cofactor row j) . C / det."""
 
     name: str = field(compare=False)
     rank: int
     gram: tuple[tuple[int, ...], ...]
     canonical: BaseClass
     effective_generators: tuple[BaseClass, ...]
+    cone_inverse: tuple[int, tuple[tuple[int, ...], ...]] = field(compare=False, repr=False)
 
     def __repr__(self):
         return f"BaseSurface({self.name!r}, rank={self.rank})"
@@ -112,6 +124,19 @@ def int_det(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _cofactor_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Row j holds the cofactors (-1)^(i+j) det(rows without row j and
+    column i), i.e. column j of the adjugate."""
+    n = len(rows)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * int_det([row[:i] + row[i + 1:]
+                                          for k, row in enumerate(rows) if k != j])
+              for i in range(n))
+        for j in range(n))
 
 
 _PRESETS: dict[str, dict] = {
@@ -155,10 +180,11 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
         data = _PRESETS[key]
         return make_base(data["gram"], data["canonical"], data["effective"], name=key)
 
-    gram = tuple(tuple(int(v) for v in row) for row in preset_or_gram)
+    gram = tuple(tuple(require_int(v, "gram entry") for v in row) for row in preset_or_gram)
     rank = len(gram)
-    if rank < 1:
-        raise ValueError("base needs Picard rank >= 1")
+    if not 1 <= rank <= MAX_PICARD_RANK:
+        raise ValueError(f"a Fano base has Picard rank between 1 and {MAX_PICARD_RANK}, "
+                         f"got {rank}")
     if any(len(row) != rank for row in gram):
         raise ValueError("gram matrix must be square")
     if any(gram[i][j] != gram[j][i] for i in range(rank) for j in range(rank)):
@@ -179,10 +205,12 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
     if len(gens) != rank:
         raise ValueError(f"a simplicial effective cone needs exactly rank = {rank} "
                          f"generators, got {len(gens)}")
-    if int_det([g.coords for g in gens]) == 0:
+    rows = [tuple(int(c) for c in g.coords) for g in gens]  # integral, checked above
+    det = int_det(rows)
+    if det == 0:
         raise ValueError("effective generators are linearly dependent (non-simplicial cone)")
     surface = BaseSurface(name=name, rank=rank, gram=gram, canonical=K,
-                          effective_generators=gens)
+                          effective_generators=gens, cone_inverse=(det, _cofactor_rows(rows)))
     for g in gens:
         if pair_base(surface, surface.minus_canonical, g) <= 0:
             raise ValueError("base is not Fano: -K does not pair positively with "
@@ -206,18 +234,17 @@ def pair_base(B: BaseSurface, a: BaseClass, b: BaseClass) -> Rat:
 def effective_coefficients(B: BaseSurface, C: BaseClass) -> tuple[int, ...] | None:
     """Coefficients of C over the effective generators, or None if C is not
     a non-negative integer combination of them.  The generators are a basis
-    of the rational Picard space, so Cramer's rule gives the coefficients as
-    quotients of integer determinants."""
+    of the rational Picard space, so the coefficients are the cofactor rows
+    of the generator matrix applied to C, divided by its determinant
+    (Cramer's rule with the determinants expanded once, in make_base)."""
     if len(C) != B.rank:
         raise ValueError("class length does not match base rank")
     if not C.is_integral():
         return None
-    gens = [g.coords for g in B.effective_generators]
-    det = int_det(gens)
-    target = tuple(int(c) for c in C.coords)
+    det, cofactors = B.cone_inverse
     coeffs = []
-    for i in range(B.rank):
-        x, rem = divmod(int_det(gens[:i] + [target] + gens[i + 1:]), det)
+    for row in cofactors:
+        x, rem = divmod(sum(a * c for a, c in zip(row, C.coords)), det)
         if rem or x < 0:
             return None
         coeffs.append(x)
@@ -232,18 +259,24 @@ def is_effective_base(B: BaseSurface, C: BaseClass) -> bool:
 def enumerate_subeffective(B: BaseSurface, C: BaseClass) -> list[BaseClass]:
     """All classes C' with C' and C - C' both effective, in lexicographic
     coordinate order.  Always contains 0 and C."""
+    gens = [g.coords for g in B.effective_generators]
+    classes = sorted(
+        tuple(sum(c * g[k] for c, g in zip(combo, gens)) for k in range(B.rank))
+        for combo in subeffective_combinations(B, C))
+    return [BaseClass(coords) for coords in classes]
+
+
+def subeffective_combinations(B: BaseSurface, C: BaseClass):
+    """The coefficient vectors (c_1, ..., c_rank) with 0 <= c_j <= a_j, where
+    a_j are the effective coefficients of C: the sub-effective classes
+    sum_j c_j g_j of C.  Their number, the product of (a_j + 1), is checked
+    against errors.MAX_ENUMERATION first."""
     coeffs = effective_coefficients(B, C)
     if coeffs is None:
         raise ValueError(f"class {C.coords} is not effective on {B.name}")
-    gens = B.effective_generators
-    out = []
-    for combo in itertools.product(*(range(a + 1) for a in coeffs)):
-        cls = zero_class(B.rank)
-        for c, g in zip(combo, gens):
-            cls = cls + c * g
-        out.append(cls)
-    out.sort(key=lambda cls: cls.coords)
-    return out
+    check_enumeration_size(f"the set of sub-effective classes of {C.coords}",
+                           math.prod(a + 1 for a in coeffs))
+    return itertools.product(*(range(a + 1) for a in coeffs))
 
 
 def is_ample_base(B: BaseSurface, eta: BaseClass) -> bool:

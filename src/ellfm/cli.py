@@ -3,7 +3,7 @@
 Subcommands: lattice, slope, thresholds, fm, zseries, invert, selftest.
 Exit codes: 0 on success, 1 when a mathematical invariant check fails,
 2 on usage errors (bad flags, malformed input, unreadable files, violated
-preconditions, a zseries beyond its size cap).
+preconditions, a zseries or an enumeration beyond its size cap).
 
 Every report embeds the Delta convention and normalization notes where they
 apply, so downstream tables are self-describing.  The default base preset

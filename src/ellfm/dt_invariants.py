@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import check_enumeration_size, require_int
 from .modular import ZSeriesResult
 
 Triple = tuple[int, int, int]
@@ -36,14 +37,14 @@ class InvariantTable:
             raise ValueError(f"unknown table kind {kind!r}; choose from {KINDS}")
         normalized = {}
         for key, value in dict(entries).items():
-            r, n, k = (int(x) for x in key)
+            r, n, k = (require_int(x, "table key entry") for x in key)
             normalized[(r, n, k)] = Fraction(value)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", normalized)
         object.__setattr__(self, "note", note)
 
     def value(self, gamma: Triple) -> Fraction:
-        key = tuple(int(x) for x in gamma)
+        key = tuple(gamma)
         if key not in self.entries:
             raise KeyError(f"table has no entry for {key}")
         return self.entries[key]
@@ -60,7 +61,11 @@ def _gcd3(gamma: Triple) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of n in increasing order, by trial division up to isqrt(n)."""
+    root = math.isqrt(n)
+    check_enumeration_size(f"the trial divisors of the gcd {n}", root)
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _moebius(n: int) -> int:

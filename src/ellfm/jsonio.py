@@ -22,7 +22,13 @@ def parse_frac(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if "e" in value.lower():  # "1e999999999" would expand to a billion digits
+            raise ValueError(f"rational {value!r:.40} must be p, p/q or a decimal, "
+                             "without an exponent")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"rational {value!r:.40} has a zero denominator") from None
     raise ValueError(f"cannot parse rational from {value!r}")
 
 

@@ -179,8 +179,9 @@ def t2_closed_form() -> str:
                 by_enumeration = s * min(Fraction(2, 1 + ri ** 3 * ni) for (ni, ri) in parts)
                 check(by_enumeration == Fraction(2) * s / (1 + r ** 3 * n),
                       f"t2 enumeration disagrees with 2s/(1 + r^3 n) at {(r, n, s)}")
-                # compute_t2 re-runs the enumeration internally and raises on
-                # any mismatch with the closed form
+                # compute_t2 takes the minimum over gamma_parts(n, r), the
+                # part set without Gamma itself, and raises on any mismatch
+                # with the closed form
                 check(st.compute_t2(r, n, s) == by_enumeration,
                       f"compute_t2 disagrees with the enumeration at {(r, n, s)}")
                 total += 1

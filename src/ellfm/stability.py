@@ -19,13 +19,17 @@ enforced.  For omega = t*Theta - s*p^*K_B and effective nonzero C this is
 The destabilizer bookkeeping (sets S and S', the function f_s, and the
 threshold s1) and the K3-pencil quantities (discriminant delta, Bogomolov
 Delta, wall bounds, Gamma compositions, t2, wall functions eta) follow the
-same exact-rational discipline.
+same exact-rational discipline.  Each enumeration is generated directly
+from its defining bounds (S and S' from the l-range of each sub-effective
+class, Gamma by stars and bars, t2 over the set of parts of Gamma), and its
+size is computed first and refused above errors.MAX_ENUMERATION.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +39,9 @@ from .base_geometry import (
     enumerate_subeffective,
     is_effective_base,
     pair_base,
+    subeffective_combinations,
 )
-from .errors import InvariantViolation
+from .errors import MAX_ENUMERATION, InvariantViolation, check_enumeration_size
 from .weierstrass import CurveX, mult_div_div, pair_div_curve, polarization, pullback
 
 Rat = int | Fraction
@@ -224,19 +229,32 @@ def section_restriction(B: BaseSurface, gamma: Dim2Chern):
 # destabilizer sets and the threshold s1
 
 
-def _context_chi(B: BaseSurface, C: BaseClass, k2: int) -> Fraction:
-    return Fraction(k2 - pair_base(B, B.canonical, C), 2)
-
-
-def _checked_context_chi(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
-    """chi of a context (C, k, n) with C effective nonzero, chi >= 1, n >= 0."""
+def _checked_context_chi2(B: BaseSurface, C: BaseClass, k2: int, n: int) -> int:
+    """2 chi = k2 - K_B.C of a context (C, k, n) with C effective nonzero,
+    chi >= 1 and n >= 0; twice chi, so that the bounds stay integral."""
     _require_effective_nonzero(B, C)
-    chi = _context_chi(B, C, k2)
-    if chi < 1:
-        raise ValueError(f"context requires chi >= 1, got chi = {chi}")
+    chi2 = k2 - pair_base(B, B.canonical, C)
+    if chi2 < 2:
+        raise ValueError(f"context requires chi >= 1, got chi = {Fraction(chi2, 2)}")
     if n < 0:
         raise ValueError("context requires n >= 0")
-    return chi
+    return chi2
+
+
+def _destabilizers(B: BaseSurface, C: BaseClass, k2: int, n: int, slack: int,
+                   label: str) -> list[SElement]:
+    """Elements (C', l, m) with C' and C - C' effective, 0 <= m <= n and
+    0 <= l <= floor((|K_B.C'| chi - slack) / |K_B.C|), in lexicographic
+    order.  The size, (n + 1) times the sum of the l-range lengths, is
+    checked against the cap before any element is built."""
+    chi2 = _checked_context_chi2(B, C, k2, n)
+    kc2 = 2 * _abs_kc(B, C)  # |K_B.C| >= 1 on a Fano base
+    bounds = [(Cp, (_abs_kc(B, Cp) * chi2 - 2 * slack) // kc2)
+              for Cp in enumerate_subeffective(B, C)]
+    check_enumeration_size(f"{label}(C = {C.coords}, k2 = {k2}, n = {n})",
+                           (n + 1) * sum(lmax + 1 for _, lmax in bounds))
+    return [SElement(Cp, l, m) for Cp, lmax in bounds
+            for l in range(lmax + 1) for m in range(n + 1)]
 
 
 def enumerate_S(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]:
@@ -246,41 +264,30 @@ def enumerate_S(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]
     |K_B.C| l - |K_B.C'| chi <= 0 and 0 <= m <= n, where
     chi = k - K_B.C/2 >= 1.
     """
-    chi = _checked_context_chi(B, C, k2, n)
-    kc = _abs_kc(B, C)
-    out = []
-    for Cp in enumerate_subeffective(B, C):
-        kcp = _abs_kc(B, Cp)
-        # kc * l <= kcp * chi caps l; kc >= 1 on a Fano base
-        lmax = int(Fraction(kcp) * chi / kc)
-        for l in range(lmax + 1):
-            for m in range(n + 1):
-                out.append(SElement(Cp, l, m))
-    return out
+    return _destabilizers(B, C, k2, n, 0, "S")
 
 
 def enumerate_Sprime(B: BaseSurface, C: BaseClass, k2: int, n: int) -> list[SElement]:
-    """The subset of S(C, k, n) with |K_B.C| l - |K_B.C'| chi <= -1."""
-    chi = _context_chi(B, C, k2)
-    kc = _abs_kc(B, C)
-    return [e for e in enumerate_S(B, C, k2, n)
-            if kc * e.l - _abs_kc(B, e.Cprime) * chi <= -1]
+    """The subset of S(C, k, n) with |K_B.C| l - |K_B.C'| chi <= -1,
+    generated directly from the bound l <= floor((|K_B.C'| chi - 1) / |K_B.C|)."""
+    return _destabilizers(B, C, k2, n, 1, "S'")
 
 
 def f_s_value(B: BaseSurface, s: Rat, e: SElement, C: BaseClass, k2: int, n: int) -> Fraction:
     """f_s(C', l, m) = (s-1)(|K_B.C| l - |K_B.C'| chi) + (n l - m chi).
 
     Membership of e in S' is decided by the defining inequalities, without
-    enumerating S.
+    enumerating S: the cone checks on C, C' and C - C' are three integer
+    matrix-vector products.
     """
-    chi = _checked_context_chi(B, C, k2, n)
-    integral = all(Fraction(x).denominator == 1 for x in (e.l, e.m))
+    chi2 = _checked_context_chi2(B, C, k2, n)
+    integral = e.l.denominator == 1 and e.m.denominator == 1
     member = (integral and e.l >= 0 and 0 <= e.m <= n
               and is_effective_base(B, e.Cprime) and is_effective_base(B, C - e.Cprime))
-    d1 = _abs_kc(B, C) * e.l - _abs_kc(B, e.Cprime) * chi
-    if not member or d1 > -1:
+    d1x2 = 2 * _abs_kc(B, C) * e.l - _abs_kc(B, e.Cprime) * chi2  # 2 d1
+    if not member or d1x2 > -2:
         raise ValueError(f"element {e} is not in S'(C, k, n)")
-    return (Fraction(s) - 1) * d1 + (n * e.l - e.m * chi)
+    return ((Fraction(s) - 1) * d1x2 + (2 * n * e.l - e.m * chi2)) / 2
 
 
 def compute_s1(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
@@ -288,15 +295,24 @@ def compute_s1(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
 
     Returned as an exact infimum; callers must take s strictly larger.
     Equals 1 when S' is empty or every element has n l - m chi <= 0.
+
+    f_s < 0 on S' means s > 1 + d2 / (-d1) with d1 = |K_B.C| l - |K_B.C'| chi
+    <= -1 and d2 = n l - m chi.  For fixed C' that ratio is largest at
+    m = 0 and at the largest l of S', where d2 is largest and -d1 smallest,
+    so one term per sub-effective class C' suffices.  In terms of 2 chi
+    that term is 2 n l / (|K_B.C'| 2chi - 2 |K_B.C| l); the maximum is kept
+    as an integer pair and compared by cross-multiplication.
     """
-    chi = _context_chi(B, C, k2)
-    kc = _abs_kc(B, C)
-    best = Fraction(1)
-    for e in enumerate_Sprime(B, C, k2, n):
-        d1 = kc * e.l - _abs_kc(B, e.Cprime) * chi
-        d2 = n * e.l - e.m * chi
-        best = max(best, 1 + Fraction(d2) / (-d1))
-    return best
+    chi2 = _checked_context_chi2(B, C, k2, n)
+    kc2 = 2 * _abs_kc(B, C)
+    weights = [_abs_kc(B, g) for g in B.effective_generators]  # |K_B.C'| is linear
+    num, den = 0, 1
+    for combo in subeffective_combinations(B, C):
+        kcp_chi2 = sum(c * w for c, w in zip(combo, weights)) * chi2
+        l = (kcp_chi2 - 2) // kc2
+        if l >= 0 and 2 * n * l * den > num * (kcp_chi2 - kc2 * l):
+            num, den = 2 * n * l, kcp_chi2 - kc2 * l
+    return 1 + Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +347,67 @@ def wall_bound_ts(r: int, delta: Rat) -> Fraction:
     return Fraction(2) / (1 + r ** 3 * delta)
 
 
-def enumerate_Gamma(n: int, r: int) -> list[tuple[tuple[int, int], ...]]:
-    """Ordered decompositions ((n_1, r_1), ..., (n_j, r_j)) with r_i >= 1,
-    n_i >= 0, sum r_i = r, sum n_i = n, 1 <= j <= r."""
+def _compositions(total: int, parts: int):
+    """Compositions of total into the given number of positive parts, in
+    lexicographic order: stars and bars, one cut set per composition."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in itertools.pairwise((0, *cuts, total)))
+
+
+def _check_gamma_args(n: int, r: int) -> None:
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
+
+
+def enumerate_Gamma(n: int, r: int) -> list[tuple[tuple[int, int], ...]]:
+    """Ordered decompositions ((n_1, r_1), ..., (n_j, r_j)) with r_i >= 1,
+    n_i >= 0, sum r_i = r, sum n_i = n, 1 <= j <= r.
+
+    Built from the compositions of r (parts >= 1) and of n (parts >= 0,
+    those of n + j shifted down by one), ordered by j, then by the r-tuple,
+    then by the n-tuple, each lexicographically.  Their number,
+    sum_j C(r - 1, j - 1) C(n + j - 1, j - 1), is checked against the cap
+    first; the sum stops once it passes the cap, so a huge r costs only a
+    few terms.
+    """
+    _check_gamma_args(n, r)
+    size = 0
+    for j in range(1, r + 1):
+        size += math.comb(r - 1, j - 1) * math.comb(n + j - 1, j - 1)
+        if size > MAX_ENUMERATION:
+            break
+    check_enumeration_size(f"Gamma(n = {n}, r = {r})", size, exact=j == r)
     out = []
     for j in range(1, r + 1):
-        rs = [c for c in itertools.product(range(1, r + 1), repeat=j) if sum(c) == r]
-        ns = [c for c in itertools.product(range(n + 1), repeat=j) if sum(c) == n]
-        for rtuple in rs:
-            for ntuple in ns:
-                out.append(tuple(zip(ntuple, rtuple)))
+        ns = [tuple(p - 1 for p in c) for c in _compositions(n + j, j)]
+        for rtuple in _compositions(r, j):
+            out += [tuple(zip(ntuple, rtuple)) for ntuple in ns]
     return out
+
+
+def gamma_parts(n: int, r: int) -> set[tuple[int, int]]:
+    """The parts (n_i, r_i) occurring in the elements of Gamma(n, r):
+    (n, r) itself (j = 1) and every (n_i, r_i) with 1 <= r_i < r and
+    0 <= n_i <= n (j >= 2, the other parts absorbing the rest).  Their
+    number, (r - 1)(n + 1) + 1, is checked against the cap first."""
+    _check_gamma_args(n, r)
+    check_enumeration_size(f"the part set of Gamma(n = {n}, r = {r})", (r - 1) * (n + 1) + 1)
+    return {(n, r)} | {(ni, ri) for ri in range(1, r) for ni in range(n + 1)}
 
 
 def compute_t2(r: int, n: int, s: Rat) -> Fraction:
     """Largest t with t/s < 2/(1 + r_i^3 n_i) for every part of every
     element of Gamma(n, r).
 
-    Computed by enumeration and checked against the closed form
-    2s/(1 + r^3 n); the minimizing part is (n, r) itself.
+    Computed by enumerating the part set of Gamma(n, r) (``gamma_parts``),
+    where the bound is smallest at the part with the largest r_i^3 n_i, and
+    checked against the closed form 2s/(1 + r^3 n); the minimizing part is
+    (n, r) itself.
     """
     s = Fraction(s)
     if s <= 0:
         raise ValueError("need s > 0")
-    bound = min(Fraction(2, 1 + ri ** 3 * ni)
-                for element in enumerate_Gamma(n, r)
-                for (ni, ri) in element)
+    bound = Fraction(2, 1 + max(ri ** 3 * ni for ni, ri in gamma_parts(n, r)))
     t2 = s * bound
     closed = Fraction(2) * s / (1 + r ** 3 * n)
     if t2 != closed:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,8 @@ from ellfm import (
     pair_base,
     zero_class,
 )
-from ellfm.base_geometry import base_from_json, base_to_json
+from ellfm.base_geometry import base_from_json, base_to_json, effective_coefficients, int_det
+from ellfm.errors import MAX_ENUMERATION
 
 
 def gram_pair(gram, a, b):
@@ -99,7 +102,6 @@ def test_subeffective_brute_force_oracle(any_base):
             C = C + c * g
         bound = 3 * max(1, max(abs(x) for x in C.coords))
         box = range(-bound, bound + 1)
-        import itertools
         expected = sorted(
             (coords for coords in itertools.product(box, repeat=B.rank)
              if is_effective_base(B, BaseClass(coords))
@@ -135,3 +137,63 @@ def test_json_round_trip(F1):
     assert again.gram == F1.gram
     assert again.canonical == F1.canonical
     assert again.effective_generators == F1.effective_generators
+
+
+def test_make_base_refuses_non_integer_gram():
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="gram entry must be an integer"):
+            make_base([[bad]], [-3], [[1]])
+    with pytest.raises(ValueError, match="Picard rank"):
+        make_base([[int(i == j) for j in range(10)] for i in range(10)],
+                  [-1] * 10, [[int(i == j) for j in range(10)] for i in range(10)])
+
+
+def cramer_coefficients(B, C):
+    """Cone membership as first implemented: rank + 1 determinants per
+    call (Cramer's rule).  Reference for the cofactor rows of make_base."""
+    if not all(Fraction(c).denominator == 1 for c in C.coords):
+        return None
+    gens = [g.coords for g in B.effective_generators]
+    det = int_det(gens)
+    target = tuple(int(c) for c in C.coords)
+    coeffs = []
+    for i in range(B.rank):
+        x, rem = divmod(int_det(gens[:i] + [target] + gens[i + 1:]), det)
+        if rem or x < 0:
+            return None
+        coeffs.append(x)
+    return tuple(coeffs)
+
+
+def test_effective_coefficients_match_cramer(P2, F0, F1, quadric_json, f1_he_json):
+    """Seeded classes, effective or not, integral or not, on the presets,
+    the JSON fixtures (one with a generator determinant of -1), P2 blown up
+    in two points (rank 3), and cones of determinant 2 and 3."""
+    bases = [P2, F0, F1, base_from_json(quadric_json), base_from_json(f1_he_json),
+             make_base([[1, 0, 0], [0, -1, 0], [0, 0, -1]], [-3, 1, 1],
+                       [[0, 1, 0], [0, 0, 1], [1, -1, -1]]),
+             make_base([[0, 1], [1, 0]], [-2, -2], [[1, 0], [1, 2]]),
+             make_base([[1]], [-3], [[3]])]
+    rng = random.Random(5)
+    outcomes = {"effective": 0, "not effective": 0, "non-integral": 0}
+    for B in bases:
+        for _ in range(300):
+            coords = [rng.randint(-6, 9) for _ in range(B.rank)]
+            if rng.random() < 0.2:
+                coords[rng.randrange(B.rank)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+            C = BaseClass(coords)
+            want = cramer_coefficients(B, C)
+            assert effective_coefficients(B, C) == want, (B, coords)
+            outcomes["non-integral" if not C.is_integral()
+                     else "not effective" if want is None else "effective"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_subeffective_count_at_the_cap(P2):
+    """C = a h on P2 has a + 1 sub-effective classes: the cap is accepted,
+    one more is refused before any class is built."""
+    assert len(enumerate_subeffective(P2, BaseClass((MAX_ENUMERATION - 1,)))) == MAX_ENUMERATION
+    with pytest.raises(ValueError, match="has 100001 elements, more than the cap of 100000"):
+        enumerate_subeffective(P2, BaseClass((MAX_ENUMERATION,)))
+    with pytest.raises(ValueError, match="has 10000200001 elements"):
+        enumerate_subeffective(make_base("F1"), BaseClass((100000, 100000)))

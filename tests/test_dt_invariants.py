@@ -14,7 +14,8 @@ from ellfm import (
     omega_table_from_dt,
     z_series,
 )
-from ellfm.dt_invariants import table_from_json, table_to_json
+from ellfm.dt_invariants import _divisors, table_from_json, table_to_json
+from ellfm.errors import MAX_ENUMERATION
 
 
 def closed_table(kind, values):
@@ -124,3 +125,29 @@ def test_table_json_round_trip(tmp_path):
     assert {"r": 1, "n": 0, "k": 1, "value": "5/3"} in data["entries"]
     again = table_from_json(data)
     assert again.entries == table.entries
+
+
+def test_table_refuses_non_integer_keys():
+    for key in ((1.5, 0, 1), (1, 0.0, 1), (1, 0, True)):
+        with pytest.raises(ValueError, match="table key entry must be an integer"):
+            InvariantTable("Omega", {key: 3})
+    # a lookup under a float key is not rounded to an integral one
+    with pytest.raises(KeyError):
+        closed_table("Omega", {(1, 0, 1): 3}).value((1.5, 0, 1))
+
+
+def test_divisors_match_trial_division_to_n():
+    for n in range(1, 400):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_multicover_gcd_cap():
+    """Trial division runs up to isqrt(gcd); more than the cap of steps is
+    refused before the scan, not run."""
+    g = (MAX_ENUMERATION + 1) ** 2
+    omega = closed_table("Omega", {(g, 0, g): 1})
+    with pytest.raises(ValueError, match="has 100001 elements, more than the cap"):
+        dt_from_omega(omega, (g, 0, g))
+    g = MAX_ENUMERATION ** 2  # isqrt(g) = cap: scanned, then the missing (1, 0, 1) is reported
+    with pytest.raises(KeyError):
+        dt_from_omega(closed_table("Omega", {(g, 0, g): 1}), (g, 0, g))

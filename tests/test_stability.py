@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from ellfm import (
     enumerate_subeffective,
     eta_wall,
     f_s_value,
+    gamma_parts,
     jh_constraints,
     nu_dim2,
     pair_base,
@@ -35,6 +37,7 @@ from ellfm import (
     wall_bound_ts,
     zero_class,
 )
+from ellfm.errors import MAX_ENUMERATION
 from ellfm.selftest import contexts
 
 XI = BaseClass((0, 1))
@@ -235,6 +238,54 @@ def test_f_s_membership_matches_enumeration(F1, P2):
     assert all(rejected.values()), rejected
 
 
+def test_enumerate_Sprime_is_the_filter_of_S(F1, P2):
+    """The direct generation of S' equals the filter of S by
+    |K.C| l - |K.C'| chi <= -1, order included, on the criterion-5 contexts."""
+    for B in (F1, P2):
+        for C, k2, n, chi in contexts(B):
+            kc = -pair_base(B, B.canonical, C)
+            expected = [e for e in enumerate_S(B, C, k2, n)
+                        if kc * e.l + pair_base(B, B.canonical, e.Cprime) * chi <= -1]
+            assert enumerate_Sprime(B, C, k2, n) == expected
+
+
+def test_compute_s1_is_the_max_over_Sprime(F1, P2):
+    """s1 from one term per sub-effective class equals the maximum of
+    1 + d2 / (-d1) over every element of S'."""
+    for B in (F1, P2):
+        for C, k2, n, chi in contexts(B):
+            kc = -pair_base(B, B.canonical, C)
+            best = Fraction(1)
+            for e in enumerate_Sprime(B, C, k2, n):
+                d1 = kc * e.l + pair_base(B, B.canonical, e.Cprime) * chi
+                best = max(best, 1 + Fraction(n * e.l - e.m * chi, -d1))
+            assert compute_s1(B, C, k2, n) == best
+
+
+def _p2_context(a, chi, n):
+    """(C, k2, n) on P2 with C = a h and the given chi."""
+    return BaseClass((a,)), 2 * chi - 3 * a, n
+
+
+def test_destabilizer_sizes_at_the_cap(P2):
+    """On P2 with chi = 1, C = a h: S has (n + 1)(a + 2) elements, S' has
+    (n + 1) a, and C has a + 1 sub-effective classes.  Sizes equal to the
+    cap are accepted, one more is refused before anything is built."""
+    assert MAX_ENUMERATION == 100 * 1000
+    # |S| = 100 * 1000 and |S'| = 100 * 1000
+    assert len(enumerate_S(P2, *_p2_context(998, 1, 99))) == MAX_ENUMERATION
+    assert len(enumerate_Sprime(P2, *_p2_context(1000, 1, 99))) == MAX_ENUMERATION
+    # 100001 = 11 * 9091
+    with pytest.raises(ValueError, match="^S\\(.* has 100001 elements, more than the cap"):
+        enumerate_S(P2, *_p2_context(9089, 1, 10))
+    with pytest.raises(ValueError, match="^S'\\(.* has 100001 elements, more than the cap"):
+        enumerate_Sprime(P2, *_p2_context(9091, 1, 10))
+    # s1 runs over the sub-effective classes only
+    assert compute_s1(P2, *_p2_context(MAX_ENUMERATION - 1, 1, 3)) == 1
+    with pytest.raises(ValueError, match="has 100001 elements, more than the cap"):
+        compute_s1(P2, *_p2_context(MAX_ENUMERATION, 1, 3))
+
+
 # ---------------------------------------------------------------------------
 # K3-pencil quantities
 
@@ -269,6 +320,52 @@ def test_enumerate_Gamma_examples():
     assert sorted(got) == sorted([((1, 2),), ((0, 1), (1, 1)), ((1, 1), (0, 1))])
     for n in range(0, 7):
         assert len(enumerate_Gamma(n, 1)) == 1
+
+
+def gamma_by_product_filter(n, r):
+    """Gamma(n, r) as first implemented: the r-tuples and n-tuples of each
+    length j filtered out of full products (r^r work).  Oracle for the
+    elements and their order."""
+    out = []
+    for j in range(1, r + 1):
+        rs = [c for c in itertools.product(range(1, r + 1), repeat=j) if sum(c) == r]
+        ns = [c for c in itertools.product(range(n + 1), repeat=j) if sum(c) == n]
+        for rtuple in rs:
+            for ntuple in ns:
+                out.append(tuple(zip(ntuple, rtuple)))
+    return out
+
+
+def test_enumerate_Gamma_matches_product_filter():
+    for r in range(1, 7):
+        for n in range(0, 5):
+            assert enumerate_Gamma(n, r) == gamma_by_product_filter(n, r), (n, r)
+
+
+def test_gamma_parts_are_the_parts_of_Gamma():
+    for r in range(1, 7):
+        for n in range(0, 5):
+            assert gamma_parts(n, r) == {part for element in enumerate_Gamma(n, r)
+                                         for part in element}, (n, r)
+
+
+def test_gamma_sizes_at_the_cap():
+    """|Gamma(n, 2)| = n + 2 and the part set of Gamma(0, r) has r
+    elements: sizes equal to the cap are accepted, one more is refused."""
+    assert len(enumerate_Gamma(MAX_ENUMERATION - 2, 2)) == MAX_ENUMERATION
+    with pytest.raises(ValueError, match="has 100001 elements, more than the cap"):
+        enumerate_Gamma(MAX_ENUMERATION - 1, 2)
+    with pytest.raises(ValueError, match="has at least .* elements, more than the cap"):
+        enumerate_Gamma(0, 10 ** 9)
+    assert compute_t2(MAX_ENUMERATION, 0, 3) == 6
+    with pytest.raises(ValueError, match="has 100001 elements, more than the cap"):
+        compute_t2(MAX_ENUMERATION + 1, 0, 3)
+
+
+def test_compute_t2_rank_200():
+    for n in range(0, 4):
+        for s in (Fraction(3), Fraction(7, 2)):
+            assert compute_t2(200, n, s) == 2 * s / (1 + 200 ** 3 * n)
 
 
 def test_compute_t2_examples():
