@@ -279,14 +279,6 @@ def subeffective_combinations(B: BaseSurface, C: BaseClass):
     return itertools.product(*(range(a + 1) for a in coeffs))
 
 
-def is_ample_base(B: BaseSurface, eta: BaseClass) -> bool:
-    """Nakai test on the effective cone: eta.g > 0 on every generator and
-    eta^2 > 0."""
-    if any(pair_base(B, eta, g) <= 0 for g in B.effective_generators):
-        return False
-    return pair_base(B, eta, eta) > 0
-
-
 def basis_class(B: BaseSurface, i: int) -> BaseClass:
     coords = [0] * B.rank
     coords[i] = 1
@@ -310,22 +302,3 @@ def require_k3_pencil(B: BaseSurface) -> None:
     if not has_k3_pencil(B):
         raise ValueError(f"base {B.name} has no elliptic K3 pencil: need rank 2 "
                          "and a (C0, Xi) basis with Xi^2 = 0, K.Xi = -2, C0.Xi = 1")
-
-
-def base_to_json(B: BaseSurface) -> dict:
-    return {
-        "name": B.name,
-        "gram": [list(row) for row in B.gram],
-        "canonical": list(B.canonical.coords),
-        "effective": [list(g.coords) for g in B.effective_generators],
-    }
-
-
-def base_from_json(data: dict) -> BaseSurface:
-    from .jsonio import int_vector, json_list, json_object
-
-    data = json_object(data, "base")
-    gram, effective = ([int_vector(row, key) for row in json_list(data[key], key)]
-                       for key in ("gram", "effective"))
-    return make_base(gram, int_vector(data["canonical"], "canonical"), effective,
-                     name=data.get("name", "custom"))

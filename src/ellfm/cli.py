@@ -47,16 +47,19 @@ def _load_base(label: str) -> bg.BaseSurface:
         return bg.make_base(label)
     path = Path(label)
     if path.exists():
-        return bg.base_from_json(json.loads(path.read_text()))
+        return jsonio.base_from_json(_parse_json_arg(path.read_text(), str(path)))
     raise UsageError(f"unknown base {label!r}: not a preset "
                      f"{sorted(bg.preset_names())} and not a JSON file")
 
 
 def _parse_json_arg(text: str, label: str) -> dict:
+    """The one entry point for JSON input, from an argument or a file."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON for {label}: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"malformed JSON for {label}: nested too deeply") from None
 
 
 def _emit(report: dict, rows: list[list], fmt: str) -> None:
@@ -92,7 +95,7 @@ def cmd_lattice(args) -> int:
     B = _load_base(args.base)
     matrix, det = wx.intersection_matrix_X(B)
     report = {
-        "base": bg.base_to_json(B),
+        "base": jsonio.base_to_json(B),
         "k_squared": B.k_squared(),
         "matrix": [list(row) for row in matrix],
         "det": det,
@@ -247,12 +250,12 @@ def cmd_invert(args) -> int:
     path = Path(args.table)
     if not path.exists():
         raise UsageError(f"table file {path} does not exist")
-    table = dt.table_from_json(_parse_json_arg(path.read_text(), str(path)))
+    table = jsonio.table_from_json(_parse_json_arg(path.read_text(), str(path)))
     if args.direction == "omega-to-dt":
         out = dt.dt_table_from_omega(table)
     else:
         out = dt.omega_table_from_dt(table)
-    report = dt.table_to_json(out)
+    report = jsonio.table_to_json(out)
     rows = [["r", "n", "k", "value"]]
     rows += [[e["r"], e["n"], e["k"], e["value"]] for e in report["entries"]]
     if args.out:

@@ -147,38 +147,3 @@ def fm_relabel(table: InvariantTable) -> InvariantTable:
     note = "indices relabeled (r, n, k) -> (r, k, n); twist by the pullback " \
            "line bundle absorbs the k - r shift"
     return InvariantTable(table.kind, entries, note=note)
-
-
-def check_k_invariance(table: InvariantTable) -> bool:
-    """Whether the recorded values depend on k at all for fixed (r, n).
-    Exposed as a predicate; the invariance is conjectural and never assumed."""
-    seen: dict[tuple[int, int], Fraction] = {}
-    for (r, n, k), v in table.entries.items():
-        key = (r, n)
-        if key in seen and seen[key] != v:
-            return False
-        seen.setdefault(key, v)
-    return True
-
-
-def table_to_json(table: InvariantTable) -> dict:
-    from .jsonio import frac_str
-
-    return {
-        "kind": table.kind,
-        "entries": [
-            {"r": r, "n": n, "k": k, "value": frac_str(v)}
-            for (r, n, k), v in sorted(table.entries.items())
-        ],
-        **({"note": table.note} if table.note else {}),
-    }
-
-
-def table_from_json(data: dict) -> InvariantTable:
-    from .jsonio import int_field, json_list, json_object, parse_frac
-
-    data = json_object(data, "table")
-    rows = [json_object(e, "table entry") for e in json_list(data["entries"], "entries")]
-    entries = {(int_field(e, "r"), int_field(e, "n"), int_field(e, "k")): parse_frac(e["value"])
-               for e in rows}
-    return InvariantTable(data["kind"], entries, note=data.get("note", ""))

@@ -135,19 +135,10 @@ def k3_view(B: BaseSurface, gamma: Dim2Chern) -> K3Invariants:
     return K3Invariants(r=int(r), m=int(axi), l=gamma.k2 // 2, n=gamma.n)
 
 
-def _twist(B: BaseSurface, gamma: Dim2Chern, times: int) -> Dim2Chern:
-    """Twist by the pullback of O_B(-times C0): maps l to l - times r on
-    vertical invariants supported on K3 fibers, fixing m and n."""
+def tensor_shift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
+    """Twist by the pullback of O_B(-C0): maps l to l - r on vertical
+    invariants supported on K3 fibers, fixing m and n."""
     view = k3_view(B, gamma)
     if view.m != 0:
         raise ValueError("tensor shift is defined on vertical invariants (m = 0)")
-    return Dim2Chern(C=gamma.C, alpha=gamma.alpha, k2=gamma.k2 - 2 * times * view.r, n=gamma.n)
-
-
-def tensor_shift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
-    """Twist by the pullback of O_B(-C0): l -> l - r.  Inverse: tensor_unshift."""
-    return _twist(B, gamma, 1)
-
-
-def tensor_unshift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:
-    return _twist(B, gamma, -1)
+    return Dim2Chern(C=gamma.C, alpha=gamma.alpha, k2=gamma.k2 - 2 * view.r, n=gamma.n)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base_geometry import BaseClass
+from .base_geometry import BaseClass, BaseSurface, make_base
+from .dt_invariants import InvariantTable
+from .errors import require_int
 from .stability import Dim1Chern, Dim2Chern, K3Invariants
-from .weierstrass import CurveX, DivisorX
 
 
 def parse_frac(value) -> Fraction:
@@ -36,10 +37,6 @@ def frac_str(value) -> str:
     return str(Fraction(value))  # "p/q", or "p" when integral
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def json_object(data, label: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{label} must be a JSON object, got {data!r:.40}")
@@ -53,20 +50,30 @@ def json_list(data, label: str) -> list:
 
 
 def int_field(data: dict, key: str) -> int:
-    value = data[key]
-    if not _is_int(value):
-        raise ValueError(f"field {key!r} must be a JSON integer, got {value!r:.40}")
-    return value
+    return require_int(data[key], f"field {key!r}")
 
 
 def int_vector(values, label: str) -> tuple[int, ...]:
-    if not all(map(_is_int, json_list(values, label))):
-        raise ValueError(f"{label} must be a vector of integers")
-    return tuple(values)
+    return tuple(require_int(v, f"{label} entry") for v in json_list(values, label))
 
 
-def _rat_vector(values, label: str) -> tuple[Fraction, ...]:
-    return tuple(parse_frac(v) for v in json_list(values, label))
+# -- base surfaces -------------------------------------------------------------
+
+def base_to_json(B: BaseSurface) -> dict:
+    return {
+        "name": B.name,
+        "gram": [list(row) for row in B.gram],
+        "canonical": list(B.canonical.coords),
+        "effective": [list(g.coords) for g in B.effective_generators],
+    }
+
+
+def base_from_json(data: dict) -> BaseSurface:
+    data = json_object(data, "base")
+    gram, effective = ([int_vector(row, key) for row in json_list(data[key], key)]
+                       for key in ("gram", "effective"))
+    return make_base(gram, int_vector(data["canonical"], "canonical"), effective,
+                     name=data.get("name", "custom"))
 
 
 # -- Chern data -------------------------------------------------------------
@@ -103,28 +110,25 @@ def k3_to_json(v: K3Invariants) -> dict:
     return {"r": v.r, "m": v.m, "l": v.l, "n": v.n}
 
 
-# -- classes on the threefold ------------------------------------------------
+# -- invariant tables -----------------------------------------------------------
 
-def divisor_from_json(data: dict, B) -> DivisorX:
-    data = json_object(data, "divisor")
-    return DivisorX(theta=parse_frac(data["theta"]),
-                    pullback=BaseClass(_rat_vector(data["pullback"], "pullback")), over=B)
-
-
-def divisor_to_json(D: DivisorX) -> dict:
-    return {"theta": frac_str(D.theta),
-            "pullback": [frac_str(c) for c in D.pullback.coords]}
-
-
-def curve_from_json(data: dict, B) -> CurveX:
-    data = json_object(data, "curve")
-    return CurveX(fiber=parse_frac(data["fiber"]),
-                  section_push=BaseClass(_rat_vector(data["section"], "section")), over=B)
+def table_to_json(table: InvariantTable) -> dict:
+    return {
+        "kind": table.kind,
+        "entries": [
+            {"r": r, "n": n, "k": k, "value": frac_str(v)}
+            for (r, n, k), v in sorted(table.entries.items())
+        ],
+        **({"note": table.note} if table.note else {}),
+    }
 
 
-def curve_to_json(S: CurveX) -> dict:
-    return {"fiber": frac_str(S.fiber),
-            "section": [frac_str(c) for c in S.section_push.coords]}
+def table_from_json(data: dict) -> InvariantTable:
+    data = json_object(data, "table")
+    rows = [json_object(e, "table entry") for e in json_list(data["entries"], "entries")]
+    entries = {(int_field(e, "r"), int_field(e, "n"), int_field(e, "k")): parse_frac(e["value"])
+               for e in rows}
+    return InvariantTable(data["kind"], entries, note=data.get("note", ""))
 
 
 # -- series -------------------------------------------------------------------

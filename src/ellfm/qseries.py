@@ -194,14 +194,6 @@ def _window(f: QSeries, lo: Fraction, n: int) -> list[Fraction]:
     return [Fraction(0)] * pad + list(f.coeffs[: n + 1 - pad])
 
 
-def constant(value: Rat, order: int) -> QSeries:
-    return QSeries(0, (_frac(value),) + (Fraction(0),) * order)
-
-
-def monomial(exponent: Rat, value: Rat, order: int) -> QSeries:
-    return QSeries(exponent, (_frac(value),) + (Fraction(0),) * order)
-
-
 def from_coefficients(offset: Rat, values) -> QSeries:
     return QSeries(offset, [_frac(v) for v in values])
 

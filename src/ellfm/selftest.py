@@ -190,7 +190,7 @@ def t2_closed_form() -> str:
 
 def brute_force_eta24(order: int) -> list[int]:
     """Coefficients of q^(1 + i), i < order, in q prod (1 - q^n)^24, expanded
-    term by term: an oracle independent of the pentagonal route."""
+    term by term: an oracle independent of the route through Jacobi's cube."""
     coeffs = [1] + [0] * (order - 1)
     for n in range(1, order):
         for _ in range(24):

@@ -17,9 +17,9 @@ enforced.  For omega = t*Theta - s*p^*K_B and effective nonzero C this is
     nu = 2 chi / [t (2s-t) |K_B.C|]
 
 The destabilizer bookkeeping (sets S and S', the function f_s, and the
-threshold s1) and the K3-pencil quantities (discriminant delta, Bogomolov
-Delta, wall bounds, Gamma compositions, t2, wall functions eta) follow the
-same exact-rational discipline.  Each enumeration is generated directly
+threshold s1) and the K3-pencil quantities (discriminant delta, wall
+bounds, Gamma compositions, t2, wall functions eta) follow the same
+exact-rational discipline.  Each enumeration is generated directly
 from its defining bounds (S and S' from the l-range of each sub-effective
 class, Gamma by stars and bars, t2 over the set of parts of Gamma), and its
 size is computed first and refused above errors.MAX_ENUMERATION.
@@ -27,7 +27,6 @@ size is computed first and refused above errors.MAX_ENUMERATION.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,11 +97,6 @@ class KahlerParams:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
 
-    @property
-    def main_regime(self) -> bool:
-        """Whether s > 1, the regime of the transform comparison results."""
-        return self.s > 1
-
 
 @dataclass(frozen=True)
 class SElement:
@@ -124,13 +118,6 @@ class K3Invariants:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("K3 invariants need r >= 1")
-
-
-class Ordering(enum.Enum):
-    BELOW = "below"
-    EQUAL_BELOW = "equal_below"
-    EQUAL_EQUAL = "equal_equal"
-    ABOVE = "above"
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +181,6 @@ def chi_dim2(B: BaseSurface, gamma: Dim2Chern) -> int:
     take chi as input are independent of this choice.
     """
     return -gamma.n - pair_base(B, B.canonical, gamma.C)
-
-
-def slope_dim1(B: BaseSurface, gammahat: Dim1Chern, omega: KahlerParams) -> Fraction:
-    """chi / (omega . ch2) for a one-dimensional sheaf, with t = 1."""
-    if omega.t != 1:
-        raise ValueError("dimension-one slopes use the polarization Theta - s p^*K_B (t = 1)")
-    w = polarization(B, 1, omega.s)
-    denom = pair_div_curve(w, CurveX(gammahat.m, gammahat.C, B))
-    if denom == 0:
-        raise ValueError("omega . ch2 vanishes; slope undefined")
-    return Fraction(gammahat.chi, denom)
-
-
-def restriction_chi(B: BaseSurface, gamma: Dim2Chern, H: BaseClass):
-    """chi of the restriction to the vertical divisor over H: equal to
-    H . alpha, hence 0 for vertical invariants."""
-    return pair_base(B, H, gamma.alpha)
-
-
-def section_restriction(B: BaseSurface, gamma: Dim2Chern):
-    """Invariants of the restriction to the canonical section:
-    (ch1, ch2-coefficient, chi) = (C, c + K_B.alpha, c + K_B.alpha + |K_B.C|/2)
-    with c = k2/2."""
-    _require_effective_nonzero(B, gamma.C)
-    c = Fraction(gamma.k2, 2)
-    ka = pair_base(B, B.canonical, gamma.alpha)
-    ch2 = c + ka
-    chi = ch2 + Fraction(_abs_kc(B, gamma.C), 2)
-    return gamma.C, ch2, chi
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +280,6 @@ def compute_s1(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
 def delta_discriminant(v: K3Invariants) -> Fraction:
     """delta = n - m(m - l)/r."""
     return Fraction(v.n) - Fraction(v.m * (v.m - v.l), v.r)
-
-
-def delta_nonnegative(v: K3Invariants) -> bool:
-    """Validity check for semistable sheaves on reduced K3 fibers."""
-    return delta_discriminant(v) >= 0
-
-
-def bogomolov_Delta(r: int, ch1_sq: Rat, n: int) -> Fraction:
-    """Delta = n + ch1^2 / (2r)."""
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    return Fraction(n) + Fraction(ch1_sq) / (2 * r)
 
 
 def wall_bound_ts(r: int, delta: Rat) -> Fraction:
@@ -447,20 +393,6 @@ def eta_wall(gamma_prime: K3Invariants, gamma: K3Invariants, s: Rat) -> EtaWall:
     return EtaWall(coeff=coeff, intercept=intercept)
 
 
-def jh_constraints(gamma: K3Invariants, parts: list[K3Invariants]) -> bool:
-    """Consequences of an irrational t/s for Jordan-Holder factors: each part
-    has m_i = 0 and l_i/r_i = l/r, and the parts add up to gamma."""
-    if not parts:
-        raise ValueError("need at least one factor")
-    if sum(p.r for p in parts) != gamma.r:
-        return False
-    if sum(p.n for p in parts) != gamma.n:
-        return False
-    if sum(p.l for p in parts) != gamma.l:
-        return False
-    return all(p.m == 0 and p.l * gamma.r == gamma.l * p.r for p in parts)
-
-
 def delta_additivity_deficit(g1: K3Invariants, g2: K3Invariants) -> Fraction:
     """delta(E) - delta(E_1) - delta(E_2) for an extension with the given
     invariants; computed both from the discriminants and from the closed
@@ -474,22 +406,3 @@ def delta_additivity_deficit(g1: K3Invariants, g2: K3Invariants) -> Fraction:
     if direct != closed:
         raise InvariantViolation(f"additivity deficit mismatch: {direct} vs {closed}")
     return direct
-
-
-def check_destabilizer(B: BaseSurface, sub: Dim2Chern, chi_sub: Rat,
-                       whole: Dim2Chern, chi_whole: Rat,
-                       omega: KahlerParams) -> Ordering:
-    """Lexicographic Gieseker comparison of (mu, nu) for sub against whole."""
-    mu_s = slope_dim2(B, sub, omega)
-    mu_w = slope_dim2(B, whole, omega)
-    if mu_s < mu_w:
-        return Ordering.BELOW
-    if mu_s > mu_w:
-        return Ordering.ABOVE
-    nu_s = nu_dim2(B, sub, omega, chi=chi_sub)
-    nu_w = nu_dim2(B, whole, omega, chi=chi_whole)
-    if nu_s < nu_w:
-        return Ordering.EQUAL_BELOW
-    if nu_s > nu_w:
-        return Ordering.ABOVE
-    return Ordering.EQUAL_EQUAL

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base_geometry import (BaseClass, BaseSurface, basis_class, int_det, is_ample_base,
-                            is_effective_base, pair_base, require_k3_pencil, zero_class)
+from .base_geometry import (BaseClass, BaseSurface, basis_class, int_det, is_effective_base,
+                            pair_base, require_k3_pencil, zero_class)
 from .errors import InvariantViolation
 
 Rat = int | Fraction
@@ -137,16 +137,6 @@ def intersection_matrix_X(B: BaseSurface) -> tuple[tuple[tuple[int, ...], ...], 
     if abs(det) != 1:
         raise InvariantViolation(f"|det(I_X)| = {abs(det)} != 1 for base {B.name}")
     return matrix, det
-
-
-def is_ample_X(omega: DivisorX) -> bool:
-    """omega = t*Theta + p^*eta is ample iff t > 0 and eta + t*K_B is ample
-    on the base."""
-    if omega.theta <= 0:
-        return False
-    B = omega.over
-    shifted = omega.pullback + omega.theta * B.canonical
-    return is_ample_base(B, shifted)
 
 
 def is_effective_curve_X(S: CurveX) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from ellfm import make_base
+from ellfm.base_geometry import make_base
 
 
 @pytest.fixture(scope="session")

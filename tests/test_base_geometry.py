@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import (
+from ellfm.base_geometry import (
     BaseClass,
+    effective_coefficients,
     enumerate_subeffective,
-    is_ample_base,
+    int_det,
     is_effective_base,
     make_base,
     pair_base,
     zero_class,
 )
-from ellfm.base_geometry import base_from_json, base_to_json, effective_coefficients, int_det
 from ellfm.errors import MAX_ENUMERATION
+from ellfm.jsonio import base_from_json, base_to_json
 
 
 def gram_pair(gram, a, b):
@@ -119,16 +120,6 @@ def test_subeffective_symmetry(any_base):
     assert C in subs
     as_set = {cls.coords for cls in subs}
     assert {(C - cls).coords for cls in subs} == as_set
-
-
-def test_ample_examples(F1, P2):
-    assert is_ample_base(F1, F1.minus_canonical)
-    assert not is_ample_base(F1, BaseClass((0, 1)))  # Xi has Xi.Xi = 0
-    assert is_ample_base(P2, BaseClass((2,)))
-
-
-def test_minus_canonical_ample(any_base):
-    assert is_ample_base(any_base, any_base.minus_canonical)
 
 
 def test_json_round_trip(F1):

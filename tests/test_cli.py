@@ -182,6 +182,7 @@ def test_zseries_size_cap_exits_2(capsys):
 
 GOOD_GAMMA = '{"C":[0,1],"alpha":[0,0],"k2":2,"n":0}'
 K3 = '{"r":2,"m":0,"l":0,"n":1}'
+DEEP = "[" * 50000  # deeper than the JSON decoder's recursion limit
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -201,6 +202,9 @@ K3 = '{"r":2,"m":0,"l":0,"n":1}'
     (["thresholds", "--k3", '{"r":2,"m":0,"l":0.5,"n":1}', "--s", "3"], "'l'"),
     (["slope", "--gamma", GOOD_GAMMA.replace('"n":0', '"n":1.0'), "--t", "1", "--s", "2"],
      "'n'"),
+    # nesting beyond the decoder's recursion limit
+    pytest.param(["slope", "--gamma", DEEP, "--t", "1", "--s", "2"], "nested too deeply",
+                 id="deep-gamma"),
 ])
 def test_malformed_input_exits_2(capsys, argv, field):
     code, out, err = run(capsys, *argv)
@@ -218,6 +222,8 @@ def test_malformed_input_exits_2(capsys, argv, field):
     ("base", '{"gram": [[1.5]], "canonical": [-3], "effective": [[1]]}', "gram"),
     ("base", '{"gram": 3, "canonical": [-3], "effective": [[1]]}', "gram"),
     ("base", "", "Expecting value"),
+    pytest.param("base", DEEP, "nested too deeply", id="base-deep"),
+    pytest.param("table", DEEP, "nested too deeply", id="table-deep"),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, name, text, field):
     path = tmp_path / f"{name}.json"

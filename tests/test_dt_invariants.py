@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import (
+from ellfm.dt_invariants import (
     InvariantTable,
-    check_k_invariance,
+    _divisors,
     dt_from_omega,
     dt_table_from_omega,
     fm_relabel,
     gv_from_z,
     omega_from_dt,
     omega_table_from_dt,
-    z_series,
 )
-from ellfm.dt_invariants import _divisors, table_from_json, table_to_json
 from ellfm.errors import MAX_ENUMERATION
+from ellfm.jsonio import table_from_json, table_to_json
+from ellfm.modular import z_series
 
 
 def closed_table(kind, values):
@@ -109,13 +109,6 @@ def test_relabel():
     assert swapped.entries[(1, 2, 5)] == 11
     assert swapped.entries[(2, 3, 3)] == 7  # diagonal entries fixed
     assert fm_relabel(swapped).entries == table.entries
-
-
-def test_k_invariance_predicate():
-    assert check_k_invariance(closed_table("Omega", {
-        (1, 0, 1): 5, (1, 0, 2): 5, (2, 1, 1): 3}))
-    assert not check_k_invariance(closed_table("Omega", {
-        (1, 0, 1): 5, (1, 0, 2): 6}))
 
 
 def test_table_json_round_trip(tmp_path):

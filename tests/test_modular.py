@@ -1,7 +1,7 @@
 """Oracles for the modular machinery.
 
 Brute-force product expansions and trial-division divisor sums (shared with
-acceptance criterion 7) are independent of the pentagonal/accumulation routes
+acceptance criterion 7) are independent of the Jacobi-cube/accumulation routes
 used by the package; frozen well-known leading coefficients are asserted
 directly.
 """
@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import (agree_through, collapse, eisenstein, eta24, gv_from_z, inv_eta24, sieve,
-                   sigma_table, z_series)
-from ellfm.modular import DELTA_CONVENTIONS, MAX_U_ORDER
+from ellfm.dt_invariants import gv_from_z
+from ellfm.modular import (DELTA_CONVENTIONS, MAX_U_ORDER, eisenstein, eta24, inv_eta24,
+                           sigma_table, z_series)
+from ellfm.qseries import agree_through, collapse, sieve
 from ellfm.selftest import brute_force_eta24, brute_force_inv_eta24, trial_division_sigma
 
 

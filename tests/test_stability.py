@@ -4,44 +4,31 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import (
-    BaseClass,
-    Dim1Chern,
+from ellfm.base_geometry import BaseClass, enumerate_subeffective, pair_base, zero_class
+from ellfm.errors import MAX_ENUMERATION
+from ellfm.selftest import contexts
+from ellfm.stability import (
     Dim2Chern,
     K3Invariants,
     KahlerParams,
-    Ordering,
     SElement,
-    bogomolov_Delta,
-    check_destabilizer,
     chi_dim2,
     compute_s1,
     compute_t2,
     delta_additivity_deficit,
     delta_discriminant,
-    delta_nonnegative,
     enumerate_Gamma,
     enumerate_S,
     enumerate_Sprime,
-    enumerate_subeffective,
     eta_wall,
     f_s_value,
     gamma_parts,
-    jh_constraints,
     nu_dim2,
-    pair_base,
-    restriction_chi,
-    section_restriction,
-    slope_dim1,
     slope_dim2,
     wall_bound_ts,
-    zero_class,
 )
-from ellfm.errors import MAX_ENUMERATION
-from ellfm.selftest import contexts
 
 XI = BaseClass((0, 1))
-C0 = BaseClass((1, 0))
 ZERO2 = zero_class(2)
 
 
@@ -86,27 +73,6 @@ def test_chi_dim2_examples(F1):
     assert chi_dim2(F1, vertical(ZERO2, 0, 0)) == 0
     assert chi_dim2(F1, vertical(XI, 0, 0)) == 2
     assert chi_dim2(F1, vertical(XI, 0, 2)) == 0
-
-
-def test_slope_dim1_examples(F1):
-    assert slope_dim1(F1, Dim1Chern(XI, 0, 1), KahlerParams(1, 2)) == Fraction(1, 2)
-    assert slope_dim1(F1, Dim1Chern(XI, 2, 0), KahlerParams(1, 2)) == 0
-    assert slope_dim1(F1, Dim1Chern(XI, 2, 3), KahlerParams(1, 2)) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        slope_dim1(F1, Dim1Chern(XI, 0, 1), KahlerParams(2, 3))
-
-
-def test_restriction_chi(F1):
-    assert restriction_chi(F1, vertical(XI, 0, 1), F1.minus_canonical) == 0
-    assert restriction_chi(F1, Dim2Chern(XI, XI, 0, 0), F1.minus_canonical) == 2
-    assert restriction_chi(F1, Dim2Chern(C0, ZERO2, 1, 0), XI) == 0
-
-
-def test_section_restriction_examples(F1):
-    assert section_restriction(F1, vertical(XI, 2)) == (XI, 1, 2)
-    C, ch2, chi = section_restriction(F1, vertical(XI, 0))
-    assert ch2 == 0 and chi == 1
-    assert section_restriction(F1, Dim2Chern(XI, XI, 0, 0)) == (XI, -2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +260,7 @@ def test_delta_examples():
     assert delta_discriminant(K3Invariants(1, 0, 7, 4)) == 4
     assert delta_discriminant(K3Invariants(2, 1, 0, 3)) == Fraction(5, 2)
     assert delta_discriminant(K3Invariants(1, 1, 1, 0)) == 0
-    assert delta_nonnegative(K3Invariants(1, 1, 1, 0))
-    assert not delta_nonnegative(K3Invariants(2, 3, 0, 1))
-
-
-def test_bogomolov_examples():
-    assert bogomolov_Delta(1, 0, 5) == 5
-    assert bogomolov_Delta(2, -4, 3) == 2
-    assert bogomolov_Delta(3, 0, 0) == 0
-    with pytest.raises(ValueError):
-        bogomolov_Delta(0, 0, 1)
+    assert delta_discriminant(K3Invariants(2, 3, 0, 1)) == Fraction(-7, 2)
 
 
 def test_wall_bound_examples():
@@ -390,34 +347,6 @@ def test_eta_wall_examples():
     assert no_root.root is None and not no_root.identically_zero
 
 
-def test_jh_constraints_examples():
-    gamma = K3Invariants(2, 0, 2, 5)
-    assert jh_constraints(gamma, [K3Invariants(1, 0, 1, 2), K3Invariants(1, 0, 1, 3)])
-    assert not jh_constraints(gamma, [K3Invariants(1, 1, 1, 2), K3Invariants(1, 0, 1, 3)])
-    assert jh_constraints(K3Invariants(3, 0, 6, 1), [K3Invariants(3, 0, 6, 1)])
-    # slope ratio must match part by part
-    assert not jh_constraints(gamma, [K3Invariants(1, 0, 2, 2), K3Invariants(1, 0, 0, 3)])
-
-
-def test_check_destabilizer(F1):
-    omega = KahlerParams(1, 2)
-    sub = vertical(XI, 2, 0)
-    assert check_destabilizer(F1, sub, 0, sub, 0, omega) == Ordering.EQUAL_EQUAL
-    above = check_destabilizer(F1, Dim2Chern(XI, XI, 0, 0), 0,
-                               vertical(BaseClass((0, 2)), 2, 0), 0, omega)
-    assert above == Ordering.ABOVE
-    # equal slopes, chi decides: mu = 0 for both verticals with k2 = 0
-    low = check_destabilizer(F1, vertical(XI, 0), 0, vertical(BaseClass((0, 2)), 0), 1,
-                             omega)
-    assert low == Ordering.EQUAL_BELOW
-    high = check_destabilizer(F1, vertical(XI, 0), 1, vertical(BaseClass((0, 2)), 0), 0,
-                              omega)
-    assert high == Ordering.ABOVE
-    below = check_destabilizer(F1, vertical(XI, 0), 0, vertical(BaseClass((0, 2)), 2), 0,
-                               omega)
-    assert below == Ordering.BELOW
-
-
 def test_slope_difference_sign_analysis(F1):
     """Calibrated slope differences mu_sub - mu_whole.
 
@@ -485,8 +414,3 @@ def test_delta_additivity_closed_form_cross_check():
         g2 = K3Invariants(rng.randint(1, 5), rng.randint(-5, 5),
                           rng.randint(-5, 5), rng.randint(-3, 6))
         delta_additivity_deficit(g1, g2)
-
-
-def test_kahler_params_regime_flag():
-    assert KahlerParams(1, 2).main_regime
-    assert not KahlerParams(Fraction(1, 3), Fraction(1, 2)).main_regime

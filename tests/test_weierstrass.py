@@ -4,25 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from ellfm import (
-    BaseClass,
+from ellfm.base_geometry import BaseClass, make_base, pair_base, zero_class
+from ellfm.weierstrass import (
     CurveX,
     DivisorX,
     fiber,
     intersection_matrix_X,
-    is_ample_X,
     is_effective_curve_X,
     k3_pencil_relations,
-    make_base,
     mult_div_div,
-    pair_base,
     pair_div_curve,
     polarization,
     pullback,
     section_push,
     theta,
     triple,
-    zero_class,
 )
 
 
@@ -73,20 +69,6 @@ def test_intersection_matrix(P2, F0, F1):
         matrix, det = intersection_matrix_X(B)
         assert len(matrix) == 3
         assert abs(det) == 1
-
-
-def test_ample_examples(F1):
-    assert is_ample_X(polarization(F1, 1, 2))
-    assert not is_ample_X(polarization(F1, 2, 1))
-    assert not is_ample_X(DivisorX(0, F1.minus_canonical, F1))
-
-
-def test_ample_range(any_base):
-    B = any_base
-    # t*Theta - s*p^*K_B is ample exactly for s > t > 0
-    assert is_ample_X(polarization(B, Fraction(1, 3), Fraction(1, 2)))
-    assert not is_ample_X(polarization(B, 1, 1))
-    assert not is_ample_X(polarization(B, Fraction(3, 2), 1))
 
 
 def test_effective_curve_examples(F1):
@@ -151,18 +133,3 @@ def test_same_base_by_lattice_data(F0):
     assert triple(theta(renamed), theta(a), theta(a)) == 8
     with pytest.raises(ValueError):
         triple(theta(a), theta(F0), theta(a))
-
-
-def test_divisor_curve_json_round_trip(F1):
-    from ellfm.jsonio import (curve_from_json, curve_to_json,
-                              divisor_from_json, divisor_to_json)
-
-    D = DivisorX(Fraction(3, 2), BaseClass((Fraction(-1, 2), Fraction(2))), F1)
-    data = divisor_to_json(D)
-    assert data == {"theta": "3/2", "pullback": ["-1/2", "2"]}
-    assert divisor_from_json(data, F1) == D
-
-    S = CurveX(Fraction(5), BaseClass((Fraction(1, 3), Fraction(0))), F1)
-    data = curve_to_json(S)
-    assert data == {"fiber": "5", "section": ["1/3", "0"]}
-    assert curve_from_json(data, F1) == S
