@@ -3,11 +3,13 @@
 Subcommands: lattice, slope, thresholds, fm, zseries, invert, selftest.
 Exit codes: 0 on success, 1 when a mathematical invariant check fails,
 2 on usage errors (bad flags, malformed input, unreadable files, violated
-preconditions, a zseries or an enumeration beyond its size cap).
+preconditions, a zseries or an enumeration beyond its size cap), 3 on an
+internal error (any other exception, reported in one line).
 
 Every report embeds the Delta convention and normalization notes where they
 apply, so downstream tables are self-describing.  The default base preset
-comes from the ELLFM_BASE environment variable (falling back to F1).
+comes from the ELLFM_BASE environment variable (falling back to F1), read on
+every call of main; the argument parser itself is built once per process.
 """
 
 from __future__ import annotations
@@ -17,15 +19,12 @@ import csv
 import json
 import os
 import sys
-import traceback
-from pathlib import Path
 
 from . import base_geometry as bg
 from . import dt_invariants as dt
 from . import fourier_mukai as fm
 from . import jsonio
 from . import modular
-from . import selftest
 from . import stability as st
 from . import weierstrass as wx
 from .errors import InvariantViolation
@@ -33,6 +32,7 @@ from .errors import InvariantViolation
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 ENV_BASE = "ELLFM_BASE"
 FORMATS = ("json", "csv", "pretty")
@@ -45,11 +45,15 @@ class UsageError(ValueError):
 def _load_base(label: str) -> bg.BaseSurface:
     if label.upper() in bg.preset_names():
         return bg.make_base(label)
-    path = Path(label)
-    if path.exists():
-        return jsonio.base_from_json(_parse_json_arg(path.read_text(), str(path)))
+    if os.path.exists(label):
+        return jsonio.base_from_json(_parse_json_arg(_read(label), label))
     raise UsageError(f"unknown base {label!r}: not a preset "
                      f"{sorted(bg.preset_names())} and not a JSON file")
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def _parse_json_arg(text: str, label: str) -> dict:
@@ -247,10 +251,10 @@ def cmd_zseries(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    path = Path(args.table)
-    if not path.exists():
+    path = args.table
+    if not os.path.exists(path):
         raise UsageError(f"table file {path} does not exist")
-    table = jsonio.table_from_json(_parse_json_arg(path.read_text(), str(path)))
+    table = jsonio.table_from_json(_parse_json_arg(_read(path), path))
     if args.direction == "omega-to-dt":
         out = dt.dt_table_from_omega(table)
     else:
@@ -259,7 +263,8 @@ def cmd_invert(args) -> int:
     rows = [["r", "n", "k", "value"]]
     rows += [[e["r"], e["n"], e["k"], e["value"]] for e in report["entries"]]
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.out}")
     else:
         _emit(report, rows, args.fmt)
@@ -267,6 +272,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    import traceback
+
+    from . import selftest
+
     code = EXIT_OK
     for criterion in selftest.CRITERIA:
         try:
@@ -298,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellfm",
         description="Exact sheaf-counting numerics on elliptic Weierstrass "
                     "Calabi-Yau threefolds.")
-    _add_shared_options(parser, os.environ.get(ENV_BASE, "F1"), "pretty")
+    # None: main resolves the ELLFM_BASE default on every call, so that one
+    # parser serves the whole process
+    _add_shared_options(parser, None, "pretty")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("lattice", help="intersection lattice report", parents=[shared])
@@ -362,17 +373,30 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first call of main
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    if args.base is None:
+        args.base = os.environ.get(ENV_BASE, "F1")
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:  # UsageError is a ValueError
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

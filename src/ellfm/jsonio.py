@@ -4,7 +4,8 @@ Rationals travel as strings: "p/q", or just "p" when integral.  Integer
 fields stay native JSON integers.  Input is checked against the schema
 before use: objects must be JSON objects, vectors JSON lists, and integer
 fields JSON integers (never booleans, and floats are refused rather than
-truncated); a violation is a ValueError naming the field.
+truncated); a violation, or a missing required field, is a ValueError naming
+the field.
 """
 
 from __future__ import annotations
@@ -49,8 +50,16 @@ def json_list(data, label: str) -> list:
     return data
 
 
-def int_field(data: dict, key: str) -> int:
-    return require_int(data[key], f"field {key!r}")
+def required_field(data: dict, key: str, label: str):
+    """data[key]; a missing key is a ValueError naming the field and the object."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{label}: missing field {key!r}") from None
+
+
+def int_field(data: dict, key: str, label: str) -> int:
+    return require_int(required_field(data, key, label), f"field {key!r}")
 
 
 def int_vector(values, label: str) -> tuple[int, ...]:
@@ -69,20 +78,24 @@ def base_to_json(B: BaseSurface) -> dict:
 
 
 def base_from_json(data: dict) -> BaseSurface:
-    data = json_object(data, "base")
-    gram, effective = ([int_vector(row, key) for row in json_list(data[key], key)]
+    label = "base"
+    data = json_object(data, label)
+    gram, effective = ([int_vector(row, key)
+                        for row in json_list(required_field(data, key, label), key)]
                        for key in ("gram", "effective"))
-    return make_base(gram, int_vector(data["canonical"], "canonical"), effective,
-                     name=data.get("name", "custom"))
+    canonical = int_vector(required_field(data, "canonical", label), "canonical")
+    return make_base(gram, canonical, effective, name=data.get("name", "custom"))
 
 
 # -- Chern data -------------------------------------------------------------
 
 def dim2_from_json(data: dict) -> Dim2Chern:
-    data = json_object(data, "two-dimensional invariants")
-    C = BaseClass(int_vector(data["C"], "C"))
+    label = "two-dimensional invariants"
+    data = json_object(data, label)
+    C = BaseClass(int_vector(required_field(data, "C", label), "C"))
     alpha = BaseClass(int_vector(data.get("alpha", [0] * len(C)), "alpha"))
-    return Dim2Chern(C=C, alpha=alpha, k2=int_field(data, "k2"), n=int_field(data, "n"))
+    return Dim2Chern(C=C, alpha=alpha, k2=int_field(data, "k2", label),
+                     n=int_field(data, "n", label))
 
 
 def dim2_to_json(gamma: Dim2Chern) -> dict:
@@ -91,9 +104,10 @@ def dim2_to_json(gamma: Dim2Chern) -> dict:
 
 
 def dim1_from_json(data: dict) -> Dim1Chern:
-    data = json_object(data, "one-dimensional invariants")
-    return Dim1Chern(C=BaseClass(int_vector(data["C"], "C")),
-                     m=int_field(data, "m"), chi=int_field(data, "chi"))
+    label = "one-dimensional invariants"
+    data = json_object(data, label)
+    return Dim1Chern(C=BaseClass(int_vector(required_field(data, "C", label), "C")),
+                     m=int_field(data, "m", label), chi=int_field(data, "chi", label))
 
 
 def dim1_to_json(gammahat: Dim1Chern) -> dict:
@@ -101,9 +115,9 @@ def dim1_to_json(gammahat: Dim1Chern) -> dict:
 
 
 def k3_from_json(data: dict) -> K3Invariants:
-    data = json_object(data, "K3 invariants")
-    return K3Invariants(r=int_field(data, "r"), m=int_field(data, "m"),
-                        l=int_field(data, "l"), n=int_field(data, "n"))
+    label = "K3 invariants"
+    data = json_object(data, label)
+    return K3Invariants(*(int_field(data, key, label) for key in ("r", "m", "l", "n")))
 
 
 def k3_to_json(v: K3Invariants) -> dict:
@@ -125,10 +139,13 @@ def table_to_json(table: InvariantTable) -> dict:
 
 def table_from_json(data: dict) -> InvariantTable:
     data = json_object(data, "table")
-    rows = [json_object(e, "table entry") for e in json_list(data["entries"], "entries")]
-    entries = {(int_field(e, "r"), int_field(e, "n"), int_field(e, "k")): parse_frac(e["value"])
-               for e in rows}
-    return InvariantTable(data["kind"], entries, note=data.get("note", ""))
+    label = "table entry"
+    rows = [json_object(e, label)
+            for e in json_list(required_field(data, "entries", "table"), "entries")]
+    entries = {(int_field(e, "r", label), int_field(e, "n", label), int_field(e, "k", label)):
+               parse_frac(required_field(e, "value", label)) for e in rows}
+    return InvariantTable(required_field(data, "kind", "table"), entries,
+                          note=data.get("note", ""))
 
 
 # -- series -------------------------------------------------------------------

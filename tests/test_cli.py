@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ellfm import selftest
+from ellfm import cli, selftest
 from ellfm.cli import main
 from ellfm.errors import InvariantViolation
 
@@ -202,6 +203,11 @@ DEEP = "[" * 50000  # deeper than the JSON decoder's recursion limit
     (["thresholds", "--k3", '{"r":2,"m":0,"l":0.5,"n":1}', "--s", "3"], "'l'"),
     (["slope", "--gamma", GOOD_GAMMA.replace('"n":0', '"n":1.0'), "--t", "1", "--s", "2"],
      "'n'"),
+    # a required field that is missing
+    (["slope", "--gamma", '{"C":[0,1],"alpha":[0,0],"n":0}', "--t", "1", "--s", "2"],
+     "two-dimensional invariants: missing field 'k2'"),
+    (["thresholds", "--k3", '{"r":2,"m":0,"l":0}', "--s", "3"],
+     "K3 invariants: missing field 'n'"),
     # nesting beyond the decoder's recursion limit
     pytest.param(["slope", "--gamma", DEEP, "--t", "1", "--s", "2"], "nested too deeply",
                  id="deep-gamma"),
@@ -222,6 +228,9 @@ def test_malformed_input_exits_2(capsys, argv, field):
     ("base", '{"gram": [[1.5]], "canonical": [-3], "effective": [[1]]}', "gram"),
     ("base", '{"gram": 3, "canonical": [-3], "effective": [[1]]}', "gram"),
     ("base", "", "Expecting value"),
+    ("table", '{"kind": "Omega", "entries": [{"r": 1, "n": 0, "value": "3"}]}',
+     "table entry: missing field 'k'"),
+    ("base", '{"gram": [[1]], "canonical": [-3]}', "base: missing field 'effective'"),
     pytest.param("base", DEEP, "nested too deeply", id="base-deep"),
     pytest.param("table", DEEP, "nested too deeply", id="table-deep"),
 ])
@@ -235,6 +244,26 @@ def test_malformed_files_exit_2(tmp_path, capsys, name, text, field):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+def test_missing_table_entry_is_reported_unquoted(tmp_path, capsys):
+    # a support not closed under division: (2, 2, 2) needs (1, 1, 1)
+    path = tmp_path / "table.json"
+    path.write_text('{"kind": "DT", "entries": [{"r": 2, "n": 2, "k": 2, "value": "1"}]}')
+    code, out, err = run(capsys, "invert", "--table", str(path), "--direction", "dt-to-omega")
+    assert code == 2 and out == ""
+    assert err == "error: table has no entry for (1, 1, 1)\n"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "lattice", broken)
+    code, out, err = run(capsys, "lattice")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: deliberate fault\n"
     assert "Traceback" not in err
 
 
@@ -290,3 +319,53 @@ def test_flags_after_subcommand(capsys):
     code, out, _ = run(capsys, "lattice", "--base", "F1", "--format", "json")
     assert code == 0
     assert json.loads(out)["unimodular"] is True
+
+
+# -- one parser per process ----------------------------------------------------
+
+def test_env_var_is_read_on_every_call(capsys, monkeypatch):
+    names = []
+    for value in ("P2", "F0", None):
+        if value is None:
+            monkeypatch.delenv("ELLFM_BASE", raising=False)
+        else:
+            monkeypatch.setenv("ELLFM_BASE", value)
+        names.append(run_json(capsys, "lattice")["base"]["name"])
+    assert names == ["P2", "F0", "F1"]
+
+
+def test_argparse_error_then_valid_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "xml", "lattice"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    code, out, _ = run(capsys, "--base", "F0", "--format", "json", "lattice")
+    assert code == 0
+    assert out == golden["lattice/F0/json"]
+
+
+def test_fm_direction_does_not_carry_over(capsys):
+    code, _, err = run(capsys, "fm", "--to-X", "--gammahat", '{"C":[0,1],"m":2,"chi":1}')
+    assert code == 0, err
+    code, out, err = run(capsys, "fm", "--gamma", GOOD_GAMMA)
+    assert code == 2 and out == ""
+    assert "fm needs --direction" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    for i in range(20):
+        argv = (["--base", ("P2", "F0", "F1")[i % 3], "lattice"] if i % 2 else
+                ["zseries", "--r", "1", "--k", "1", "--order", str(i + 1)])
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    assert len(built) == 1

@@ -1,9 +1,11 @@
 """The public surface stays what some path needs.
 
-The package namespace is empty, so ``import ellfm`` loads no submodule; and
-every module-level public function is named somewhere besides its own
-definition: in another part of ``src/ellfm``, in the README or in the
-benchmark (``bench/*.py``).  Acceptance criteria are reached through the
+The package namespace is empty, so ``import ellfm`` loads no submodule;
+``import ellfm.cli`` loads every library layer, but not the acceptance
+criteria (``ellfm.selftest``), ``pathlib`` or ``random``; and every
+module-level public function is named somewhere besides its own definition:
+in another part of ``src/ellfm``, in the README or in the benchmark
+(``bench/*.py``).  Acceptance criteria are reached through the
 ``@criterion`` registry and are exempt.
 """
 
@@ -23,6 +25,17 @@ def test_import_ellfm_loads_no_submodule():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_ellfm_cli_is_lean():
+    layers = ("cli", "jsonio", "base_geometry", "weierstrass", "fourier_mukai",
+              "stability", "qseries", "modular", "dt_invariants")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ellfm.cli; "
+             "print(' '.join(sys.modules))")
+    loaded = set(subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                                capture_output=True, text=True, check=True).stdout.split())
+    assert {f"ellfm.{layer}" for layer in layers} <= loaded
+    assert loaded.isdisjoint({"ellfm.selftest", "pathlib", "random"})
 
 
 def _registered_criterion(node: ast.FunctionDef) -> bool:
