@@ -37,8 +37,11 @@ class InvariantTable:
             raise ValueError(f"unknown table kind {kind!r}; choose from {KINDS}")
         normalized = {}
         for key, value in dict(entries).items():
-            r, n, k = (require_int(x, "table key entry") for x in key)
-            normalized[(r, n, k)] = Fraction(value)
+            if not (type(key) is tuple and len(key) == 3
+                    and type(key[0]) is type(key[1]) is type(key[2]) is int):
+                r, n, k = (require_int(x, "table key entry") for x in key)
+                key = (r, n, k)
+            normalized[key] = value if type(value) is Fraction else Fraction(value)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", normalized)
         object.__setattr__(self, "note", note)
@@ -87,14 +90,23 @@ def _moebius(n: int) -> int:
 
 
 def _divisor_sum(table: InvariantTable, kind: str, gamma: Triple, weight) -> Fraction:
-    """sum over m | gcd(gamma) of weight(m) / m^2 * table(gamma / m)."""
+    """sum over m | gcd(gamma) of weight(m) / m^2 * table(gamma / m), summed
+    on ints over a running common denominator.  Every table(gamma / m) is
+    looked up, also where weight(m) = 0, so a support that is not closed
+    under division raises KeyError whatever the weights."""
     if table.kind != kind:
         raise ValueError(f"expected a table of kind {kind!r}, got kind {table.kind!r}")
     r, n, k = gamma
-    total = Fraction(0)
+    num, den = 0, 1
     for m in _divisors(_gcd3(gamma)):
-        total += Fraction(weight(m), m * m) * table.value((r // m, n // m, k // m))
-    return total
+        value = table.value((r // m, n // m, k // m))
+        w = weight(m)
+        if w:
+            d = value.denominator * m * m
+            common = math.lcm(den, d)
+            num = num * (common // den) + w * value.numerator * (common // d)
+            den = common
+    return Fraction(num, den)
 
 
 def dt_from_omega(omega: InvariantTable, gamma: Triple) -> Fraction:
@@ -129,8 +141,10 @@ def gv_from_z(zres: ZSeriesResult) -> InvariantTable:
         return InvariantTable("GV", {}, note="empty series")
     entries = {}
     start = zres.n0_exponent
-    for n in range(int(series.last_exponent) - start + 1):
-        value = series.coefficient(start + n)
+    skip = start - series.offset
+    if skip.denominator != 1 or not 0 <= skip <= series.order:
+        raise ValueError(f"slot n = 0 at exponent {start} is not in the series window")
+    for n, value in enumerate(series.coeffs[int(skip):]):
         if value.denominator != 1:
             raise ValueError(f"non-integer count {value} at slot n = {n}")
         entries[(zres.r, n, 1)] = value

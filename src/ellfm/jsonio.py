@@ -142,10 +142,16 @@ def table_from_json(data: dict) -> InvariantTable:
     label = "table entry"
     rows = [json_object(e, label)
             for e in json_list(required_field(data, "entries", "table"), "entries")]
-    entries = {(int_field(e, "r", label), int_field(e, "n", label), int_field(e, "k", label)):
-               parse_frac(required_field(e, "value", label)) for e in rows}
-    return InvariantTable(required_field(data, "kind", "table"), entries,
-                          note=data.get("note", ""))
+    entries = {}
+    for e in rows:
+        key = (int_field(e, "r", label), int_field(e, "n", label), int_field(e, "k", label))
+        if key in entries:
+            raise ValueError(f"table: duplicate entry for (r, n, k) = {key}")
+        entries[key] = parse_frac(required_field(e, "value", label))
+    kind, note = required_field(data, "kind", "table"), data.get("note", "")
+    if not isinstance(note, str):
+        raise ValueError(f"table: field 'note' must be a string, got {note!r:.40}")
+    return InvariantTable(kind, entries, note=note)
 
 
 # -- series -------------------------------------------------------------------

@@ -190,7 +190,7 @@ def t2_closed_form() -> str:
 
 def brute_force_eta24(order: int) -> list[int]:
     """Coefficients of q^(1 + i), i < order, in q prod (1 - q^n)^24, expanded
-    term by term: an oracle independent of the route through Jacobi's cube."""
+    term by term: an oracle independent of the sigma_1 recurrence."""
     coeffs = [1] + [0] * (order - 1)
     for n in range(1, order):
         for _ in range(24):
@@ -201,7 +201,8 @@ def brute_force_eta24(order: int) -> list[int]:
 
 def brute_force_inv_eta24(order: int) -> list[int]:
     """Coefficients of q^(-1 + i), i <= order + 1, in q^-1 prod (1 - q^n)^-24,
-    by geometric-series passes: an oracle independent of series inversion."""
+    by geometric-series passes: an oracle independent of the sigma_1
+    recurrence."""
     coeffs = [1] + [0] * (order + 1)
     for n in range(1, order + 2):
         for _ in range(24):

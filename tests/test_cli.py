@@ -231,6 +231,11 @@ def test_malformed_input_exits_2(capsys, argv, field):
     ("table", '{"kind": "Omega", "entries": [{"r": 1, "n": 0, "value": "3"}]}',
      "table entry: missing field 'k'"),
     ("base", '{"gram": [[1]], "canonical": [-3]}', "base: missing field 'effective'"),
+    ("table", '{"kind": "Omega", "entries": [{"r": 1, "n": 0, "k": 1, "value": "3"}, '
+              '{"r": 1, "n": 0, "k": 1, "value": "5"}]}',
+     "table: duplicate entry for (r, n, k) = (1, 0, 1)"),
+    ("table", '{"kind": "Omega", "entries": [], "note": 7}',
+     "table: field 'note' must be a string, got 7"),
     pytest.param("base", DEEP, "nested too deeply", id="base-deep"),
     pytest.param("table", DEEP, "nested too deeply", id="table-deep"),
 ])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 
 from ellfm.dt_invariants import (
     InvariantTable,
+    _divisor_sum,
     _divisors,
+    _gcd3,
+    _moebius,
     dt_from_omega,
     dt_table_from_omega,
     fm_relabel,
@@ -20,6 +24,16 @@ from ellfm.modular import z_series
 
 def closed_table(kind, values):
     return InvariantTable(kind, values)
+
+
+def fraction_divisor_sum(table, gamma, weight):
+    """The multicover sum with one Fraction operation per divisor: the
+    reference the integer common-denominator sum is checked against."""
+    r, n, k = gamma
+    total = Fraction(0)
+    for m in _divisors(_gcd3(gamma)):
+        total += Fraction(weight(m), m * m) * table.value((r // m, n // m, k // m))
+    return total
 
 
 def test_primitive_gamma_is_identity():
@@ -58,6 +72,34 @@ def test_missing_entries_error():
         dt_from_omega(omega, (2, 0, 2))  # needs (1, 0, 1) too
 
 
+def test_missing_entry_at_moebius_zero_divisor_error():
+    """(1, 0, 1) = (4, 0, 4) / 4 has weight mu(4) = 0 in the inversion, yet
+    the support is not closed under division and the gap is reported."""
+    dt = closed_table("DT", {(4, 0, 4): 3, (2, 0, 2): 5})
+    with pytest.raises(KeyError, match=r"\(1, 0, 1\)"):
+        omega_from_dt(dt, (4, 0, 4))
+    with pytest.raises(KeyError, match=r"\(1, 0, 1\)"):
+        omega_table_from_dt(dt)
+
+
+def test_divisor_sum_matches_fraction_oracle():
+    rng = random.Random(60)
+    for _ in range(150):
+        g = rng.randint(1, 60)
+        base = (rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 3))
+        d = math.gcd(math.gcd(base[0], abs(base[1])), base[2])
+        base = tuple(x // d for x in base)
+        gamma = tuple(x * g for x in base)
+        entries = {tuple(x * m for x in base): Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                        rng.randint(1, 720))
+                   for m in _divisors(g)}
+        for kind, weight in (("Omega", lambda m: 1), ("DT", _moebius)):
+            table = closed_table(kind, entries)
+            got = _divisor_sum(table, kind, gamma, weight)
+            assert type(got) is Fraction
+            assert got == fraction_divisor_sum(table, gamma, weight)
+
+
 def test_zero_gamma_rejected():
     omega = closed_table("Omega", {(1, 0, 1): 1})
     with pytest.raises(ValueError):
@@ -65,8 +107,6 @@ def test_zero_gamma_rejected():
 
 
 def test_round_trip_random_tables():
-    import math
-
     rng = random.Random(12)
     for _ in range(60):
         g = rng.randint(1, 12)
@@ -103,6 +143,17 @@ def test_gv_from_z_empty():
     assert gv_from_z(empty).entries == {}
 
 
+def test_gv_from_z_refuses_slot_outside_window():
+    from ellfm.modular import ZSeriesResult
+    from ellfm.qseries import QSeries
+
+    for n0 in (-1, 3):
+        bad = ZSeriesResult(series=QSeries(0, [1, 2, 3]), r=1, k=1, convention="cusp",
+                            n0_exponent=n0, grading_shift=Fraction(n0) + Fraction(1, 2))
+        with pytest.raises(ValueError, match=f"exponent {n0} is not in the series window"):
+            gv_from_z(bad)
+
+
 def test_relabel():
     table = closed_table("Omega", {(1, 5, 2): 11, (2, 3, 3): 7})
     swapped = fm_relabel(table)
@@ -120,8 +171,14 @@ def test_table_json_round_trip(tmp_path):
     assert again.entries == table.entries
 
 
+def test_table_values_are_fractions():
+    table = closed_table("Omega", {(1, 0, 1): 3, (2, 0, 2): Fraction(7, 2)})
+    assert all(type(v) is Fraction for v in table.entries.values())
+    assert table.entries == {(1, 0, 1): Fraction(3), (2, 0, 2): Fraction(7, 2)}
+
+
 def test_table_refuses_non_integer_keys():
-    for key in ((1.5, 0, 1), (1, 0.0, 1), (1, 0, True)):
+    for key in ((1.5, 0, 1), (1, 0.0, 1), (1, 0, True), (True, 0, 1)):
         with pytest.raises(ValueError, match="table key entry must be an integer"):
             InvariantTable("Omega", {key: 3})
     # a lookup under a float key is not rounded to an integral one

@@ -1,7 +1,8 @@
 """Seeded fuzz of every subcommand.
 
-Inputs mix valid data with malformed JSON, wrong ranks, extreme rationals
-and huge sizes (r, C, --order, multicover gcds).  Every call must exit 0 or
+Inputs mix valid data with malformed JSON, wrong ranks, extreme rationals,
+huge sizes (r, C, --order, multicover gcds), repeated table entries and
+rational tables under gcds with many divisors.  Every call must exit 0 or
 2 with no traceback, and two runs of the same input must print the same.
 """
 
@@ -150,6 +151,13 @@ def make_case(rng, tmp_path, index):
             if rng.random() < 0.15:  # a multicover gcd far beyond the cap
                 entry["r"] = entry["k"] = rng.choice([10 ** 12, (10 ** 5 + 1) ** 2])
             entries.append(entry)
+        if entries and rng.random() < 0.2:  # a repeated (r, n, k)
+            entries.append(dict(rng.choice(entries)))
+        if rng.random() < 0.2:  # a divisor-closed chain under a gcd with many divisors
+            g = rng.choice([60, 720, 5040])
+            entries += [{"r": m, "n": 0, "k": m,
+                         "value": f"{rng.randint(-99, 99)}/{rng.choice([1, 7, 60, 720])}"}
+                        for m in range(1, g + 1) if g % m == 0]
         kind, direction = rng.choice([("Omega", "omega-to-dt"), ("DT", "dt-to-omega")])
         if rng.random() < 0.3:
             kind = rng.choice(["Omega", "DT", "GV", "BPS", 5])

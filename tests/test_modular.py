@@ -1,20 +1,36 @@
 """Oracles for the modular machinery.
 
-Brute-force product expansions and trial-division divisor sums (shared with
-acceptance criterion 7) are independent of the Jacobi-cube/accumulation routes
-used by the package; frozen well-known leading coefficients are asserted
+The package computes eta^(+-24) by the sigma_1 recurrence of the logarithmic
+derivative and divisor sums by accumulation.  Independent of both are the
+brute-force product expansions and trial-division divisor sums (shared with
+acceptance criterion 7) and the route through Jacobi's cube
+prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2), raised to the 8th
+power and inverted; frozen well-known leading coefficients are asserted
 directly.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from ellfm import modular
 from ellfm.dt_invariants import gv_from_z
-from ellfm.modular import (DELTA_CONVENTIONS, MAX_U_ORDER, eisenstein, eta24, inv_eta24,
-                           sigma_table, z_series)
-from ellfm.qseries import agree_through, collapse, sieve
+from ellfm.errors import InvariantViolation
+from ellfm.modular import (DELTA_CONVENTIONS, MAX_U_ORDER, _eta_power_body, eisenstein, eta24,
+                           inv_eta24, sigma_table, z_series)
+from ellfm.qseries import _inverse, _power, agree_through, collapse, sieve
 from ellfm.selftest import brute_force_eta24, brute_force_inv_eta24, trial_division_sigma
+
+
+def jacobi_cube_eta24(order):
+    """prod (1 - q^n)^24 through q^order as the 8th power of Jacobi's cube."""
+    cube = [0] * (order + 1)
+    k = 0
+    while k * (k + 1) // 2 <= order:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return _power(cube, 8, order)
 
 
 def sieve_assembly(r, order, convention):
@@ -49,6 +65,30 @@ def test_inv_eta24_brute_force(order=200):
     inv = inv_eta24(order)
     oracle = brute_force_inv_eta24(order)
     assert [inv.coefficient(-1 + i) for i in range(order + 2)] == oracle
+
+
+# z_series builds bodies through q^(MAX_U_ORDER - 2) at the size cap
+@pytest.mark.parametrize("order", [0, 1, 2, 23] + random.Random(1998).sample(range(24, 1998), 3)
+                         + [MAX_U_ORDER - 2])
+def test_eta_power_body_matches_jacobi_cube(order):
+    cube = jacobi_cube_eta24(order)
+    assert _eta_power_body(1, order) == cube
+    assert _eta_power_body(-1, order) == _inverse(cube, order)
+
+
+def test_eta_power_body_guards_exact_division(monkeypatch):
+    """A wrong sigma_1 table leaves a remainder in n f_n; it is refused."""
+    def wrong_sigma_table(power, upto):
+        table = sigma_table(power, upto)
+        table[2] += 1
+        return table
+
+    monkeypatch.setattr(modular, "sigma_table", wrong_sigma_table)
+    for sign in (1, -1):
+        with pytest.raises(InvariantViolation, match="not integral"):
+            _eta_power_body(sign, 10)
+    with pytest.raises(InvariantViolation):
+        z_series(1, 1, 10)
 
 
 def test_inverse_contract_order_500():
