@@ -2,8 +2,10 @@
 
 A base surface is described by an integral intersection form on its Picard
 lattice, the coordinates of the canonical class, and the extremal generators
-of the effective cone.  Curve and divisor classes share one coordinate type:
-the intersection form is unimodular, so the two lattices are identified.
+of the effective cone.  Curve and divisor classes share one coordinate type,
+a tuple of ints: the intersection form is unimodular, so the two lattices
+are identified, and every class is integral (a Fraction, float or bool
+coordinate is refused).
 
 Built-in presets cover the bases used for elliptic K3 pencils:
 
@@ -26,30 +28,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import check_enumeration_size, require_int
-
-Rat = int | Fraction
 
 # Smooth del Pezzo surfaces are P1 x P1 and P2 blown up in at most 8 points.
 MAX_PICARD_RANK = 9
 
 
-def _as_rat(x) -> Rat:
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise TypeError(f"expected integer or Fraction coordinate, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class BaseClass:
-    """A divisor/curve class on the base in the chosen lattice basis."""
+    """A divisor/curve class on the base: integer coordinates in the chosen
+    lattice basis."""
 
-    coords: tuple[Rat, ...]
+    coords: tuple[int, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(_as_rat(c) for c in coords))
+        object.__setattr__(self, "coords",
+                           tuple(require_int(c, "class coordinate") for c in coords))
 
     def __len__(self):
         return len(self.coords)
@@ -63,14 +58,11 @@ class BaseClass:
     def __neg__(self) -> "BaseClass":
         return BaseClass(tuple(-a for a in self.coords))
 
-    def __rmul__(self, c: Rat) -> "BaseClass":
+    def __rmul__(self, c: int) -> "BaseClass":
         return BaseClass(tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
 
 
 def zero_class(rank: int) -> BaseClass:
@@ -100,7 +92,7 @@ class BaseSurface:
     def minus_canonical(self) -> BaseClass:
         return -self.canonical
 
-    def k_squared(self) -> Rat:
+    def k_squared(self) -> int:
         return pair_base(self, self.canonical, self.canonical)
 
 
@@ -200,12 +192,10 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
     for g in gens:
         if len(g) != rank:
             raise ValueError("effective generator has wrong length")
-        if not g.is_integral():
-            raise ValueError("effective generators must be integral")
     if len(gens) != rank:
         raise ValueError(f"a simplicial effective cone needs exactly rank = {rank} "
                          f"generators, got {len(gens)}")
-    rows = [tuple(int(c) for c in g.coords) for g in gens]  # integral, checked above
+    rows = [g.coords for g in gens]
     det = int_det(rows)
     if det == 0:
         raise ValueError("effective generators are linearly dependent (non-simplicial cone)")
@@ -218,7 +208,7 @@ def make_base(preset_or_gram, canonical=None, effective_generators=None,
     return surface
 
 
-def pair_base(B: BaseSurface, a: BaseClass, b: BaseClass) -> Rat:
+def pair_base(B: BaseSurface, a: BaseClass, b: BaseClass) -> int:
     """Intersection pairing a . b on the base."""
     if len(a) != B.rank or len(b) != B.rank:
         raise ValueError("class length does not match base rank")
@@ -239,8 +229,6 @@ def effective_coefficients(B: BaseSurface, C: BaseClass) -> tuple[int, ...] | No
     (Cramer's rule with the determinants expanded once, in make_base)."""
     if len(C) != B.rank:
         raise ValueError("class length does not match base rank")
-    if not C.is_integral():
-        return None
     det, cofactors = B.cone_inverse
     coeffs = []
     for row in cofactors:

@@ -149,11 +149,7 @@ def cmd_thresholds(args) -> int:
 
     if args.gammahat is not None:
         gh = jsonio.dim1_from_json(_parse_json_arg(args.gammahat, "--gammahat"))
-        if gh.chi <= 0:
-            raise UsageError("threshold s1 needs chi > 0")
         gamma = fm.phi_map(B, gh)
-        if gh.m < 0:
-            raise UsageError("threshold s1 needs n >= 0")
         s1 = st.compute_s1(B, gamma.C, gamma.k2, gamma.n)
         report["gammahat"] = jsonio.dim1_to_json(gh)
         report["s1"] = jsonio.frac_str(s1)

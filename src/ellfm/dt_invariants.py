@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import check_enumeration_size, require_int
+from .errors import check_enumeration_size, require_int, require_rational
 from .modular import ZSeriesResult
 
 Triple = tuple[int, int, int]
@@ -41,7 +41,8 @@ class InvariantTable:
                     and type(key[0]) is type(key[1]) is type(key[2]) is int):
                 r, n, k = (require_int(x, "table key entry") for x in key)
                 key = (r, n, k)
-            normalized[key] = value if type(value) is Fraction else Fraction(value)
+            normalized[key] = (value if type(value) is Fraction
+                               else require_rational(value, "table value"))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", normalized)
         object.__setattr__(self, "note", note)

@@ -13,6 +13,8 @@ is built, and one of more than MAX_ENUMERATION elements is refused with a
 ValueError stating its size.
 """
 
+from fractions import Fraction
+
 MAX_ENUMERATION = 100_000
 
 
@@ -26,6 +28,17 @@ def require_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r:.40}")
     return value
+
+
+def require_rational(value, field: str) -> Fraction:
+    """Return value as a Fraction if it is an int or a Fraction; otherwise
+    raise a ValueError naming the field.  Booleans, floats and strings are
+    refused, rather than converted."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer or a Fraction, got {value!r:.40}")
+    return Fraction(value)
 
 
 def check_enumeration_size(what: str, size: int, exact: bool = True) -> None:

@@ -132,7 +132,7 @@ def k3_view(B: BaseSurface, gamma: Dim2Chern) -> K3Invariants:
         raise ValueError("ch2 must be a combination of Xi and f on the pencil")
     if gamma.k2 % 2 != 0:
         raise ValueError("k2 must be even for K3-fiber support")
-    return K3Invariants(r=int(r), m=int(axi), l=gamma.k2 // 2, n=gamma.n)
+    return K3Invariants(r=r, m=axi, l=gamma.k2 // 2, n=gamma.n)
 
 
 def tensor_shift(B: BaseSurface, gamma: Dim2Chern) -> Dim2Chern:

@@ -26,15 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .errors import require_rational
+
 Rat = int | Fraction
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +37,10 @@ class QSeries:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, offset, coeffs):
-        offset = _frac(offset)
+        offset = require_rational(offset, "series offset")
         if 24 % offset.denominator != 0:
             raise ValueError(f"offset denominator must divide 24, got {offset}")
-        coeffs = tuple(_frac(c) for c in coeffs)
+        coeffs = tuple(require_rational(c, "series coefficient") for c in coeffs)
         if not coeffs:
             raise ValueError("series needs at least one tracked coefficient")
         object.__setattr__(self, "offset", offset)
@@ -65,7 +59,7 @@ class QSeries:
     def coefficient(self, exponent: Rat) -> Fraction:
         """Coefficient at the given exponent; zero below the window or off
         the exponent grid, error above the tracked order."""
-        e = _frac(exponent)
+        e = require_rational(exponent, "exponent")
         if e > self.last_exponent:
             raise ValueError(f"exponent {e} beyond tracked order (last known "
                              f"{self.last_exponent})")
@@ -107,7 +101,7 @@ class QSeries:
         return self + (-other)
 
     def scale(self, c: Rat) -> "QSeries":
-        c = _frac(c)
+        c = require_rational(c, "scalar")
         return QSeries(self.offset, tuple(c * a for a in self.coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
@@ -130,11 +124,11 @@ class QSeries:
 
     def shift(self, delta: Rat) -> "QSeries":
         """Multiply by the monomial q^delta."""
-        return QSeries(self.offset + _frac(delta), self.coeffs)
+        return QSeries(self.offset + require_rational(delta, "shift"), self.coeffs)
 
     def truncate(self, through_exponent: Rat) -> "QSeries":
         """Drop knowledge beyond the given exponent."""
-        e = _frac(through_exponent)
+        e = require_rational(through_exponent, "exponent")
         rel = e - self.offset
         if rel.denominator != 1 or rel < 0:
             raise ValueError(f"cannot truncate to exponent {e} (window starts "
@@ -194,13 +188,9 @@ def _window(f: QSeries, lo: Fraction, n: int) -> list[Fraction]:
     return [Fraction(0)] * pad + list(f.coeffs[: n + 1 - pad])
 
 
-def from_coefficients(offset: Rat, values) -> QSeries:
-    return QSeries(offset, [_frac(v) for v in values])
-
-
 def agree_through(f: QSeries, g: QSeries, through_exponent: Rat) -> bool:
     """Exact coefficient agreement on the common grid up to the exponent."""
-    e = _frac(through_exponent)
+    e = require_rational(through_exponent, "exponent")
     if e > f.last_exponent or e > g.last_exponent:
         raise ValueError("comparison exponent beyond a tracked window")
     if (f.offset - g.offset).denominator != 1:

@@ -239,9 +239,8 @@ def sieve_partition() -> str:
     rng = random.Random(8)
     total = 0
     for _ in range(100):
-        f = qs.from_coefficients(rng.randint(-6, 6),
-                                 [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                                  for _ in range(30)])
+        f = qs.QSeries(rng.randint(-6, 6), [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                            for _ in range(30)])
         for r in range(1, 13):
             acc = qs.sieve(f, r, 0)
             for k in range(1, r):

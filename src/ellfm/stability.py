@@ -16,6 +16,11 @@ enforced.  For omega = t*Theta - s*p^*K_B and effective nonzero C this is
     mu = [2(t-s) K_B.alpha + t k2] / [t (2s-t) |K_B.C|]
     nu = 2 chi / [t (2s-t) |K_B.C|]
 
+The ring route runs on ints: with D the lcm of the denominators of t and s,
+D omega is integral, and mu and nu have degree -1 and -2 in omega, so
+mu = D mu(D omega) and nu = D^2 nu(D omega); the closed form stays on the
+rational t and s.
+
 The destabilizer bookkeeping (sets S and S', the function f_s, and the
 threshold s1) and the K3-pencil quantities (discriminant delta, wall
 bounds, Gamma compositions, t2, wall functions eta) follow the same
@@ -40,7 +45,7 @@ from .base_geometry import (
     pair_base,
     subeffective_combinations,
 )
-from .errors import MAX_ENUMERATION, InvariantViolation, check_enumeration_size
+from .errors import MAX_ENUMERATION, InvariantViolation, check_enumeration_size, require_rational
 from .weierstrass import CurveX, mult_div_div, pair_div_curve, polarization, pullback
 
 Rat = int | Fraction
@@ -64,8 +69,6 @@ class Dim2Chern:
     def validate(self, B: BaseSurface) -> None:
         if len(self.C) != B.rank or len(self.alpha) != B.rank:
             raise ValueError("class length does not match base rank")
-        if not (self.C.is_integral() and self.alpha.is_integral()):
-            raise ValueError("Chern data must be integral")
         if self.vertical() and (self.k2 - pair_base(B, B.canonical, self.C)) % 2 != 0:
             raise ValueError("parity violated: k2 must be congruent to K_B.C mod 2 "
                              "for a vertical class")
@@ -91,7 +94,7 @@ class KahlerParams:
     s: Fraction
 
     def __init__(self, t, s):
-        t, s = Fraction(t), Fraction(s)
+        t, s = require_rational(t, "t"), require_rational(s, "s")
         if not s > t > 0:
             raise ValueError(f"polarization needs s > t > 0, got t={t}, s={s}")
         object.__setattr__(self, "t", t)
@@ -136,10 +139,13 @@ def _require_effective_nonzero(B: BaseSurface, C: BaseClass) -> None:
         raise ValueError(f"support class {C.coords} is not effective on {B.name}")
 
 
-def _half_area(B: BaseSurface, gamma: Dim2Chern, omega: KahlerParams) -> Fraction:
-    """(omega^2 . ch1) / 2 through the intersection ring."""
-    w = polarization(B, omega.t, omega.s)
-    return Fraction(pair_div_curve(pullback(B, gamma.C), mult_div_div(w, w)), 2)
+def _integral_polarization(B: BaseSurface, gamma: Dim2Chern, omega: KahlerParams):
+    """(D, D omega, (D omega)^2 . ch1) through the intersection ring, with D
+    the lcm of the denominators of t and s, so that D omega is integral."""
+    t, s = omega.t, omega.s
+    D = math.lcm(t.denominator, s.denominator)
+    w = polarization(B, t.numerator * (D // t.denominator), s.numerator * (D // s.denominator))
+    return D, w, pair_div_curve(pullback(B, gamma.C), mult_div_div(w, w))
 
 
 def slope_dim2(B: BaseSurface, gamma: Dim2Chern, omega: KahlerParams) -> Fraction:
@@ -150,9 +156,8 @@ def slope_dim2(B: BaseSurface, gamma: Dim2Chern, omega: KahlerParams) -> Fractio
     """
     gamma.validate(B)
     _require_effective_nonzero(B, gamma.C)
-    w = polarization(B, omega.t, omega.s)
-    ch2 = CurveX(Fraction(gamma.k2, 2), gamma.alpha, B)
-    ring = Fraction(pair_div_curve(w, ch2)) / _half_area(B, gamma, omega)
+    D, w, area = _integral_polarization(B, gamma, omega)
+    ring = Fraction(D * pair_div_curve(w, CurveX(gamma.k2, 2 * gamma.alpha, B)), area)
 
     t, s = omega.t, omega.s
     ka = pair_base(B, B.canonical, gamma.alpha)
@@ -168,9 +173,9 @@ def nu_dim2(B: BaseSurface, gamma: Dim2Chern, omega: KahlerParams,
     """nu = chi / (omega^2 . ch1 / 2); chi defaults to chi_dim2."""
     gamma.validate(B)
     _require_effective_nonzero(B, gamma.C)
-    if chi is None:
-        chi = chi_dim2(B, gamma)
-    return Fraction(chi) / _half_area(B, gamma, omega)
+    chi = chi_dim2(B, gamma) if chi is None else require_rational(chi, "chi")
+    D, _, area = _integral_polarization(B, gamma, omega)
+    return Fraction(2 * D * D * chi, area)
 
 
 def chi_dim2(B: BaseSurface, gamma: Dim2Chern) -> int:
@@ -238,6 +243,7 @@ def f_s_value(B: BaseSurface, s: Rat, e: SElement, C: BaseClass, k2: int, n: int
     enumerating S: the cone checks on C, C' and C - C' are three integer
     matrix-vector products.
     """
+    s = require_rational(s, "s")
     chi2 = _checked_context_chi2(B, C, k2, n)
     integral = e.l.denominator == 1 and e.m.denominator == 1
     member = (integral and e.l >= 0 and 0 <= e.m <= n
@@ -245,7 +251,7 @@ def f_s_value(B: BaseSurface, s: Rat, e: SElement, C: BaseClass, k2: int, n: int
     d1x2 = 2 * _abs_kc(B, C) * e.l - _abs_kc(B, e.Cprime) * chi2  # 2 d1
     if not member or d1x2 > -2:
         raise ValueError(f"element {e} is not in S'(C, k, n)")
-    return ((Fraction(s) - 1) * d1x2 + (2 * n * e.l - e.m * chi2)) / 2
+    return ((s - 1) * d1x2 + (2 * n * e.l - e.m * chi2)) / 2
 
 
 def compute_s1(B: BaseSurface, C: BaseClass, k2: int, n: int) -> Fraction:
@@ -287,7 +293,7 @@ def wall_bound_ts(r: int, delta: Rat) -> Fraction:
     discriminant delta."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    delta = Fraction(delta)
+    delta = require_rational(delta, "delta")
     if delta < 0:
         raise ValueError("wall bound needs delta >= 0")
     return Fraction(2) / (1 + r ** 3 * delta)
@@ -350,7 +356,7 @@ def compute_t2(r: int, n: int, s: Rat) -> Fraction:
     checked against the closed form 2s/(1 + r^3 n); the minimizing part is
     (n, r) itself.
     """
-    s = Fraction(s)
+    s = require_rational(s, "s")
     if s <= 0:
         raise ValueError("need s > 0")
     bound = Fraction(2, 1 + max(ri ** 3 * ni for ni, ri in gamma_parts(n, r)))
@@ -386,7 +392,7 @@ def eta_wall(gamma_prime: K3Invariants, gamma: K3Invariants, s: Rat) -> EtaWall:
     Its root is the polarization parameter where the slopes of gamma' and
     gamma cross.
     """
-    s = Fraction(s)
+    s = require_rational(s, "s")
     intercept = Fraction(2 * gamma_prime.m, gamma_prime.r) * s
     coeff = -(Fraction(2 * gamma_prime.m - gamma_prime.l, gamma_prime.r)
               + Fraction(gamma.l, gamma.r))

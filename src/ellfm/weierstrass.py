@@ -2,7 +2,9 @@
 
 Divisor classes are written t*Theta + p^*eta with Theta the canonical
 section and p^*eta pulled back from the base; curve classes are a*f +
-sigma_*C with f the elliptic fiber.  The whole ring is encoded by the
+sigma_*C with f the elliptic fiber.  Coefficients are integers, so the ring
+is evaluated on ints; a rational polarization is rescaled to an integral
+one by its caller (stability.slope_dim2).  The whole ring is encoded by the
 relations
 
     Theta . f = 1,            Theta . sigma_*C = K_B . C,
@@ -18,24 +20,22 @@ closed-form reproduction in the test suite pins it down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base_geometry import (BaseClass, BaseSurface, basis_class, int_det, is_effective_base,
                             pair_base, require_k3_pencil, zero_class)
-from .errors import InvariantViolation
-
-Rat = int | Fraction
+from .errors import InvariantViolation, require_int
 
 
 @dataclass(frozen=True)
 class DivisorX:
-    """theta*Theta + p^*(pullback) on X, rational coefficients allowed."""
+    """theta*Theta + p^*(pullback) on X, with integer theta."""
 
-    theta: Rat
+    theta: int
     pullback: BaseClass
     over: BaseSurface
 
     def __post_init__(self):
+        require_int(self.theta, "theta coefficient")
         if len(self.pullback) != self.over.rank:
             raise ValueError("pullback class length does not match base rank")
 
@@ -49,19 +49,20 @@ class DivisorX:
     def __sub__(self, other: "DivisorX") -> "DivisorX":
         return self + (-other)
 
-    def __rmul__(self, c: Rat) -> "DivisorX":
+    def __rmul__(self, c: int) -> "DivisorX":
         return DivisorX(c * self.theta, c * self.pullback, self.over)
 
 
 @dataclass(frozen=True)
 class CurveX:
-    """fiber*f + sigma_*(section_push) on X."""
+    """fiber*f + sigma_*(section_push) on X, with integer fiber."""
 
-    fiber: Rat
+    fiber: int
     section_push: BaseClass
     over: BaseSurface
 
     def __post_init__(self):
+        require_int(self.fiber, "fiber coefficient")
         if len(self.section_push) != self.over.rank:
             raise ValueError("section class length does not match base rank")
 
@@ -72,7 +73,7 @@ class CurveX:
     def __neg__(self) -> "CurveX":
         return CurveX(-self.fiber, -self.section_push, self.over)
 
-    def __rmul__(self, c: Rat) -> "CurveX":
+    def __rmul__(self, c: int) -> "CurveX":
         return CurveX(c * self.fiber, c * self.section_push, self.over)
 
 
@@ -97,8 +98,8 @@ def section_push(B: BaseSurface, C: BaseClass) -> CurveX:
     return CurveX(0, C, B)
 
 
-def polarization(B: BaseSurface, t: Rat, s: Rat) -> DivisorX:
-    """omega = t*Theta - s*p^*K_B."""
+def polarization(B: BaseSurface, t: int, s: int) -> DivisorX:
+    """omega = t*Theta - s*p^*K_B, for integers t and s."""
     return DivisorX(t, (-s) * B.canonical, B)
 
 
@@ -112,7 +113,7 @@ def mult_div_div(D1: DivisorX, D2: DivisorX) -> CurveX:
     return CurveX(pair_base(B, e1, e2), section, B)
 
 
-def pair_div_curve(D: DivisorX, S: CurveX) -> Rat:
+def pair_div_curve(D: DivisorX, S: CurveX) -> int:
     """Intersection number of a divisor with a curve class."""
     _same_base(D, S)
     B = D.over
@@ -121,7 +122,7 @@ def pair_div_curve(D: DivisorX, S: CurveX) -> Rat:
             + pair_base(B, D.pullback, S.section_push))
 
 
-def triple(D1: DivisorX, D2: DivisorX, D3: DivisorX) -> Rat:
+def triple(D1: DivisorX, D2: DivisorX, D3: DivisorX) -> int:
     return pair_div_curve(D3, mult_div_div(D1, D2))
 
 
@@ -141,8 +142,6 @@ def intersection_matrix_X(B: BaseSurface) -> tuple[tuple[tuple[int, ...], ...], 
 
 def is_effective_curve_X(S: CurveX) -> bool:
     """Effectivity criterion: base part effective and fiber coefficient >= 0."""
-    if Fraction(S.fiber).denominator != 1 or not S.section_push.is_integral():
-        return False
     return S.fiber >= 0 and is_effective_base(S.over, S.section_push)
 
 

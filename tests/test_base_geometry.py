@@ -157,9 +157,10 @@ def cramer_coefficients(B, C):
 
 
 def test_effective_coefficients_match_cramer(P2, F0, F1, quadric_json, f1_he_json):
-    """Seeded classes, effective or not, integral or not, on the presets,
-    the JSON fixtures (one with a generator determinant of -1), P2 blown up
-    in two points (rank 3), and cones of determinant 2 and 3."""
+    """Seeded classes, effective or not, on the presets, the JSON fixtures
+    (one with a generator determinant of -1), P2 blown up in two points
+    (rank 3), and cones of determinant 2 and 3.  Non-integral draws are
+    refused when the class is built."""
     bases = [P2, F0, F1, base_from_json(quadric_json), base_from_json(f1_he_json),
              make_base([[1, 0, 0], [0, -1, 0], [0, 0, -1]], [-3, 1, 1],
                        [[0, 1, 0], [0, 0, 1], [1, -1, -1]]),
@@ -172,11 +173,14 @@ def test_effective_coefficients_match_cramer(P2, F0, F1, quadric_json, f1_he_jso
             coords = [rng.randint(-6, 9) for _ in range(B.rank)]
             if rng.random() < 0.2:
                 coords[rng.randrange(B.rank)] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+                with pytest.raises(ValueError, match="class coordinate must be an integer"):
+                    BaseClass(coords)
+                outcomes["non-integral"] += 1
+                continue
             C = BaseClass(coords)
             want = cramer_coefficients(B, C)
             assert effective_coefficients(B, C) == want, (B, coords)
-            outcomes["non-integral" if not C.is_integral()
-                     else "not effective" if want is None else "effective"] += 1
+            outcomes["not effective" if want is None else "effective"] += 1
     assert all(outcomes.values()), outcomes
 
 

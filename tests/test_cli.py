@@ -98,7 +98,7 @@ def test_thresholds_chi_zero_errors(capsys):
     code, _, err = run(capsys, "thresholds",
                        "--gammahat", '{"C":[0,1],"m":1,"chi":0}')
     assert code == 2
-    assert "chi > 0" in err
+    assert "context requires chi >= 1, got chi = 0" in err
 
 
 def test_zseries_banner_and_count(capsys):
@@ -211,6 +211,9 @@ DEEP = "[" * 50000  # deeper than the JSON decoder's recursion limit
     # nesting beyond the decoder's recursion limit
     pytest.param(["slope", "--gamma", DEEP, "--t", "1", "--s", "2"], "nested too deeply",
                  id="deep-gamma"),
+    # s1 preconditions, checked once, by the library
+    (["thresholds", "--gammahat", '{"C":[0,1],"m":1,"chi":0}'], "requires chi >= 1"),
+    (["thresholds", "--gammahat", '{"C":[0,1],"m":-1,"chi":1}'], "requires n >= 0"),
 ])
 def test_malformed_input_exits_2(capsys, argv, field):
     code, out, err = run(capsys, *argv)

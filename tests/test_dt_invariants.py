@@ -186,6 +186,14 @@ def test_table_refuses_non_integer_keys():
         closed_table("Omega", {(1, 0, 1): 3}).value((1.5, 0, 1))
 
 
+def test_table_refuses_non_rational_values():
+    """Values are ints or Fractions: a float, a bool or a string (even "1e5")
+    is refused, not converted to a binary-float rational or parsed."""
+    for value in (0.1, True, "1e5", "3"):
+        with pytest.raises(ValueError, match="table value must be an integer or a Fraction"):
+            InvariantTable("Omega", {(1, 0, 1): value})
+
+
 def test_divisors_match_trial_division_to_n():
     for n in range(1, 400):
         assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

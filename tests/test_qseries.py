@@ -9,7 +9,6 @@ from ellfm.qseries import (
     _inverse,
     agree_through,
     collapse,
-    from_coefficients,
     sieve,
 )
 
@@ -19,7 +18,7 @@ def geometric(order):
 
 
 def test_geometric_inverse():
-    one_minus_q = from_coefficients(0, [1, -1] + [0] * 38)
+    one_minus_q = QSeries(0, [1, -1] + [0] * 38)
     product = one_minus_q * geometric(39)
     assert product.coefficient(0) == 1
     assert all(product.coefficient(i) == 0 for i in range(1, 39))
@@ -60,7 +59,7 @@ def test_inverse_contract():
     for _ in range(20):
         coeffs = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(30)]
         offset = rng.randint(-3, 3)
-        f = from_coefficients(offset, coeffs)
+        f = QSeries(offset, coeffs)
         product = f * f.inverse()
         assert product.coefficient(0) == 1
         assert all(product.coefficient(i) == 0 for i in range(1, product.order + 1))
@@ -69,7 +68,7 @@ def test_inverse_contract():
 
 
 def test_pow():
-    f = from_coefficients(0, [1, 1, 0, 0, 0])
+    f = QSeries(0, [1, 1, 0, 0, 0])
     assert f.pow(0).coeffs == (1, 0, 0, 0, 0)
     assert f.pow(2).coeffs == (1, 2, 1, 0, 0)
     assert f.pow(3).coeffs == (1, 3, 3, 1, 0)
@@ -91,7 +90,7 @@ def test_sieve_examples():
     f = geometric(10)
     evens = sieve(f, 2, 0)
     assert [int(e) for e, _ in evens.support()] == [0, 2, 4, 6, 8, 10]
-    polar = from_coefficients(-1, [1, 24, 324])
+    polar = QSeries(-1, [1, 24, 324])
     kept = sieve(polar, 2, 1)
     assert kept.support() == [(Fraction(-1), Fraction(1)), (Fraction(1), Fraction(324))]
     with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ def test_sieve_partition_random():
     rng = random.Random(9)
     for _ in range(100):
         r = rng.randint(1, 12)
-        f = from_coefficients(rng.randint(-5, 5),
+        f = QSeries(rng.randint(-5, 5),
                               [rng.randint(-9, 9) for _ in range(25)])
         acc = sieve(f, r, 0)
         for k in range(1, r):
@@ -111,25 +110,25 @@ def test_sieve_partition_random():
 
 
 def test_collapse_examples():
-    f = from_coefficients(2, [1, 0, 3])  # u^2 + 3 u^4
+    f = QSeries(2, [1, 0, 3])  # u^2 + 3 u^4
     g = collapse(f, 2)
     assert g.offset == 1 and g.coeffs == (Fraction(1), Fraction(3))
     with pytest.raises(ValueError):
-        collapse(from_coefficients(1, [1, 0, 0, 0]), 2)  # u + O(u^5)
-    h = from_coefficients(-2, [5, 1, 2, 0, 7])
+        collapse(QSeries(1, [1, 0, 0, 0]), 2)  # u + O(u^5)
+    h = QSeries(-2, [5, 1, 2, 0, 7])
     assert collapse(h, 1).coeffs == h.coeffs
 
 
 def test_collapse_negative_exponents():
-    f = from_coefficients(-4, [1, 0, 2, 0, 3])  # u^-4 + 2u^-2 + 3u^0
+    f = QSeries(-4, [1, 0, 2, 0, 3])  # u^-4 + 2u^-2 + 3u^0
     g = collapse(f, 2)
     assert g.offset == -2
     assert g.coeffs == (Fraction(1), Fraction(2), Fraction(3))
 
 
 def test_agree_through():
-    f = from_coefficients(0, [0, 2, 3, 4])  # below g's window counts as zero
-    g = from_coefficients(1, [2, 3, 9])
+    f = QSeries(0, [0, 2, 3, 4])  # below g's window counts as zero
+    g = QSeries(1, [2, 3, 9])
     assert agree_through(f, g, 2)
     assert not agree_through(f, g, 3)
     with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ def test_agree_through():
 
 
 def test_shift_and_truncate():
-    f = from_coefficients(0, [1, 0, 0, 0, 0, 0]).shift(Fraction(1, 2))
+    f = QSeries(0, [1, 0, 0, 0, 0, 0]).shift(Fraction(1, 2))
     assert f.offset == Fraction(1, 2)
     cut = f.truncate(Fraction(5, 2))
     assert cut.order == 2
@@ -164,7 +163,7 @@ def test_convolve_matches_schoolbook():
 
 def integral_unit_series(rng, order=25):
     lead = rng.choice((1, -1))
-    return from_coefficients(rng.randint(-4, 4), [lead] + [rng.randint(-9, 9) for _ in range(order)])
+    return QSeries(rng.randint(-4, 4), [lead] + [rng.randint(-9, 9) for _ in range(order)])
 
 
 def is_one(f):
@@ -189,9 +188,9 @@ def test_integral_fast_path_inverse_and_pow():
 
 
 def test_fraction_path_stays_exact():
-    two_minus_q = from_coefficients(0, [2, -1] + [0] * 10)  # non-unit leading coefficient
+    two_minus_q = QSeries(0, [2, -1] + [0] * 10)  # non-unit leading coefficient
     assert two_minus_q.inverse().coeffs == tuple(Fraction(1, 2 ** (n + 1)) for n in range(12))
-    half_q = from_coefficients(Fraction(1, 2), [1, Fraction(-1, 2)] + [0] * 10)  # fractional
+    half_q = QSeries(Fraction(1, 2), [1, Fraction(-1, 2)] + [0] * 10)  # fractional
     inv = half_q.inverse()
     assert inv.offset == Fraction(-1, 2)
     assert inv.coeffs == tuple(Fraction(1, 2 ** n) for n in range(12))
@@ -199,10 +198,25 @@ def test_fraction_path_stays_exact():
     assert half_q.pow(-2).coeffs == tuple(Fraction(n + 1, 2 ** n) for n in range(12))
 
 
+def test_exact_scalars_only():
+    """Offsets, coefficients, exponents and scalars are ints or Fractions:
+    floats, bools and strings raise a ValueError naming the field."""
+    f = QSeries(0, [1, 2, 3])
+    for bad in (0.5, True, "1"):
+        calls = [(lambda: QSeries(bad, [1]), "series offset"),
+                 (lambda: QSeries(0, [1, bad]), "series coefficient"),
+                 (lambda: f.coefficient(bad), "exponent"), (lambda: f.scale(bad), "scalar"),
+                 (lambda: f.shift(bad), "shift"), (lambda: f.truncate(bad), "exponent"),
+                 (lambda: agree_through(f, f, bad), "exponent")]
+        for call, field in calls:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer or a Fraction"):
+                call()
+
+
 def test_kernel_results_are_fractions():
     rng = random.Random(6)
     f, g = integral_unit_series(rng), integral_unit_series(rng)
-    h = from_coefficients(0, [Fraction(3, 2), 1, 2])
+    h = QSeries(0, [Fraction(3, 2), 1, 2])
     results = [f * g, f.inverse(), f.pow(3), f.pow(-2), f.pow(0), h * h, h.inverse(), h.pow(-1)]
     for series in results:
         assert all(type(c) is Fraction for c in series.coeffs)

@@ -62,11 +62,72 @@ def test_slope_dim2_preconditions(F1):
         vertical(XI, 1).validate(F1)
 
 
-def test_nu_examples(F1):
+def _random_effective(B, rng):
+    coeffs = [rng.randint(0, 4) for _ in B.effective_generators]
+    coeffs[rng.randrange(B.rank)] += 1
+    return sum((c * g for c, g in zip(coeffs, B.effective_generators)), zero_class(B.rank))
+
+
+def _random_omega(rng):
+    t = Fraction(rng.randint(1, 20), rng.randint(1, 10))
+    return KahlerParams(t, t + Fraction(rng.randint(1, 20), rng.randint(1, 10)))
+
+
+def test_nu_examples(F1, P2, F0):
+    """Fixed values on F1, and seeded rational (t, s) and chi on every preset
+    against 2 chi / [t (2s - t) |K_B.C|] (nu has no second route in the
+    library)."""
     omega = KahlerParams(1, 2)
     assert nu_dim2(F1, vertical(XI, 0), omega, chi=0) == 0
     assert nu_dim2(F1, vertical(XI, 0), omega, chi=3) == 1
     assert nu_dim2(F1, vertical(XI, 0), omega, chi=6) == 2
+    rng = random.Random(11)
+    for B in (P2, F0, F1):
+        for _ in range(100):
+            C = _random_effective(B, rng)
+            gamma = Dim2Chern(C, zero_class(B.rank), pair_base(B, B.canonical, C),
+                              rng.randint(-5, 5))
+            omega = _random_omega(rng)
+            chi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            area = omega.t * (2 * omega.s - omega.t) * -pair_base(B, B.canonical, C)
+            assert nu_dim2(B, gamma, omega, chi=chi) == 2 * chi / area
+            assert nu_dim2(B, gamma, omega) == 2 * chi_dim2(B, gamma) / area
+
+
+def test_slope_and_nu_are_homogeneous(any_base):
+    """mu(lambda omega) = mu(omega) / lambda and nu(lambda omega) =
+    nu(omega) / lambda^2 for rational lambda > 0: the ring route runs at the
+    integral multiple D omega, and rescaling omega changes D."""
+    B = any_base
+    rng = random.Random(13)
+    for _ in range(60):
+        C = _random_effective(B, rng)
+        alpha = BaseClass(tuple(rng.randint(-5, 5) for _ in range(B.rank)))
+        k2 = rng.randint(-16, 16)
+        if alpha.is_zero():  # vertical: k2 = K_B.C mod 2
+            k2 = 2 * (k2 // 2) + pair_base(B, B.canonical, C)
+        gamma = Dim2Chern(C, alpha, k2, rng.randint(-5, 5))
+        omega = _random_omega(rng)
+        lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        scaled = KahlerParams(lam * omega.t, lam * omega.s)
+        assert slope_dim2(B, gamma, scaled) == slope_dim2(B, gamma, omega) / lam
+        assert nu_dim2(B, gamma, scaled) == nu_dim2(B, gamma, omega) / lam ** 2
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "3"])
+def test_exact_scalars_refuse_other_types(F1, bad):
+    """t, s, chi and delta are ints or Fractions: floats, bools and strings
+    raise a ValueError naming the field instead of being converted."""
+    e = SElement(XI, 0, 1)
+    calls = [(lambda: KahlerParams(bad, 2), "t"), (lambda: KahlerParams(1, bad), "s"),
+             (lambda: nu_dim2(F1, vertical(XI, 0), KahlerParams(1, 2), chi=bad), "chi"),
+             (lambda: f_s_value(F1, bad, e, XI, 0, 1), "s"),
+             (lambda: compute_t2(2, 1, bad), "s"),
+             (lambda: eta_wall(K3Invariants(1, 1, 0, 0), K3Invariants(1, 0, 0, 0), bad), "s"),
+             (lambda: wall_bound_ts(1, bad), "delta")]
+    for call, field in calls:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer or a Fraction"):
+            call()
 
 
 def test_chi_dim2_examples(F1):

@@ -6,7 +6,8 @@ criteria (``ellfm.selftest``), ``pathlib`` or ``random``; and every
 module-level public function is named somewhere besides its own definition:
 in another part of ``src/ellfm``, in the README or in the benchmark
 (``bench/*.py``).  Acceptance criteria are reached through the
-``@criterion`` registry and are exempt.
+``@criterion`` registry and are exempt.  The lattice layers import no
+``fractions``.
 """
 
 import ast
@@ -36,6 +37,17 @@ def test_import_ellfm_cli_is_lean():
                                 capture_output=True, text=True, check=True).stdout.split())
     assert {f"ellfm.{layer}" for layer in layers} <= loaded
     assert loaded.isdisjoint({"ellfm.selftest", "pathlib", "random"})
+
+
+def test_lattice_layers_do_not_import_fractions():
+    """Lattice classes and the ring are integral: base_geometry and
+    weierstrass have no rational path, so they never import fractions."""
+    for layer in ("base_geometry", "weierstrass"):
+        tree = ast.parse((SRC / "ellfm" / f"{layer}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported, layer
 
 
 def _registered_criterion(node: ast.FunctionDef) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,9 +24,8 @@ from ellfm.weierstrass import (
 
 
 def random_divisor(B, rng):
-    return DivisorX(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                    BaseClass(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                                    for _ in range(B.rank))), B)
+    return DivisorX(rng.randint(-6, 6), BaseClass(tuple(rng.randint(-6, 6)
+                                                        for _ in range(B.rank))), B)
 
 
 def test_mult_examples(F1):
@@ -95,7 +95,9 @@ def test_pencil_relations(F0, F1, P2):
 
 
 def test_slope_denominator_reproduction(any_base):
-    """(omega^2 / 2) . p^*C = t (2s - t) |K_B.C| / 2 > 0 for s > t > 0."""
+    """(D omega)^2 . p^*C = D^2 t (2s - t) |K_B.C| > 0 for rational s > t > 0,
+    with D omega = T Theta - S p^*K_B integral (D the lcm of the
+    denominators of t and s)."""
     B = any_base
     rng = random.Random(5)
     for _ in range(50):
@@ -107,12 +109,28 @@ def test_slope_denominator_reproduction(any_base):
         C = zero_class(B.rank)
         for c, g in zip(coeffs, B.effective_generators):
             C = C + c * g
-        omega = polarization(B, t, s)
-        lhs = Fraction(pair_div_curve(pullback(B, C), mult_div_div(omega, omega)), 2)
+        D = math.lcm(t.denominator, s.denominator)
+        omega = polarization(B, int(D * t), int(D * s))
+        lhs = pair_div_curve(pullback(B, C), mult_div_div(omega, omega))
         kc = -pair_base(B, B.canonical, C)
         assert kc > 0
-        assert lhs == t * (2 * s - t) * Fraction(kc, 2)
+        assert lhs == D * D * t * (2 * s - t) * kc
         assert lhs > 0
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), Fraction(1, 2), 1.0, True],
+                         ids=["integral-Fraction", "Fraction", "float", "bool"])
+def test_classes_refuse_non_integers(F1, bad):
+    """BaseClass, DivisorX and CurveX take ints only: a Fraction (integral
+    or not), a float or a bool raises a ValueError naming the field."""
+    with pytest.raises(ValueError, match="class coordinate must be an integer"):
+        BaseClass((0, bad))
+    with pytest.raises(ValueError, match="theta coefficient must be an integer"):
+        DivisorX(bad, zero_class(2), F1)
+    with pytest.raises(ValueError, match="fiber coefficient must be an integer"):
+        CurveX(bad, zero_class(2), F1)
+    with pytest.raises(ValueError, match="theta coefficient must be an integer"):
+        polarization(F1, bad, 2)
 
 
 def test_base_mismatch_rejected(F0, F1):
