@@ -9,7 +9,10 @@ the wrong side silently.  The multicover sum and its Mobius inversion are
     Omega(g) = sum_{m | gcd(g)} mu(m) DT(g/m) / m^2
 
 with gcd taken componentwise and zero entries ignored (gcd(r, 0, k) =
-gcd(r, k)), which matters because n = 0 classes are allowed.
+gcd(r, k)), which matters because n = 0 classes are allowed.  Both are
+applied to whole tables only, in one pass over the sorted support that
+computes the divisors of each distinct gcd and the Mobius function of each
+divisor once.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class InvariantTable:
             raise KeyError(f"table has no entry for {key}")
         return self.entries[key]
 
-    def support(self) -> list[Triple]:
-        return sorted(self.entries)
-
 
 def _gcd3(gamma: Triple) -> int:
     g = math.gcd(math.gcd(abs(gamma[0]), abs(gamma[1])), abs(gamma[2]))
@@ -90,46 +90,55 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def _divisor_sum(table: InvariantTable, kind: str, gamma: Triple, weight) -> Fraction:
-    """sum over m | gcd(gamma) of weight(m) / m^2 * table(gamma / m), summed
-    on ints over a running common denominator.  Every table(gamma / m) is
-    looked up, also where weight(m) = 0, so a support that is not closed
-    under division raises KeyError whatever the weights."""
+def _convert(table: InvariantTable, kind: str, out_kind: str, mobius: bool) -> InvariantTable:
+    """The table of sum over m | gcd(gamma) of w(m) / m^2 * table(gamma / m)
+    for every gamma in the support, w = mu if mobius else 1, in one pass over
+    the sorted support.  Each sum runs on ints over a running common
+    denominator and gives one Fraction; the divisors of each gcd and mu of
+    each divisor are computed once per call.  Every table(gamma / m) is
+    looked up, also where w(m) = 0, so a support that is not closed under
+    division raises KeyError whatever the weights."""
     if table.kind != kind:
         raise ValueError(f"expected a table of kind {kind!r}, got kind {table.kind!r}")
-    r, n, k = gamma
-    num, den = 0, 1
-    for m in _divisors(_gcd3(gamma)):
-        value = table.value((r // m, n // m, k // m))
-        w = weight(m)
-        if w:
-            d = value.denominator * m * m
-            common = math.lcm(den, d)
-            num = num * (common // den) + w * value.numerator * (common // d)
-            den = common
-    return Fraction(num, den)
-
-
-def dt_from_omega(omega: InvariantTable, gamma: Triple) -> Fraction:
-    """Multicover sum over divisors of gcd(gamma)."""
-    return _divisor_sum(omega, "Omega", gamma, lambda m: 1)
-
-
-def omega_from_dt(dt: InvariantTable, gamma: Triple) -> Fraction:
-    """Mobius inversion of the multicover sum; exact round trip."""
-    return _divisor_sum(dt, "DT", gamma, _moebius)
+    parts = {key: (v.numerator, v.denominator) for key, v in table.entries.items()}
+    mu: dict[int, int] = {}
+    terms: dict[int, list[tuple[int, int, int]]] = {}  # gcd -> (m, m^2, w(m)) for m > 1
+    out = {}
+    for gamma in sorted(parts):
+        r, n, k = gamma
+        g = _gcd3(gamma)
+        if g not in terms:
+            divisors = _divisors(g)[1:]
+            if mobius:
+                for m in divisors:
+                    if m not in mu:
+                        mu[m] = _moebius(m)
+            terms[g] = [(m, m * m, mu[m] if mobius else 1) for m in divisors]
+        num, den = parts[gamma]  # the term m = 1, w(1) = 1
+        for m, m2, w in terms[g]:
+            key = (r // m, n // m, k // m)
+            part = parts.get(key)
+            if part is None:
+                table.value(key)  # raises the KeyError naming the missing entry
+            if w:
+                d = part[1] * m2
+                common = math.lcm(den, d)
+                num = num * (common // den) + w * part[0] * (common // d)
+                den = common
+        out[gamma] = Fraction(num, den)
+    return InvariantTable(out_kind, out, note=table.note)
 
 
 def dt_table_from_omega(omega: InvariantTable) -> InvariantTable:
-    """Convert a whole table; the support must be closed under division by
-    common factors."""
-    return InvariantTable("DT", {g: dt_from_omega(omega, g) for g in omega.support()},
-                          note=omega.note)
+    """DT(g) = sum_{m | gcd(g)} Omega(g/m) / m^2 over a whole table; the
+    support must be closed under division by common factors."""
+    return _convert(omega, "Omega", "DT", mobius=False)
 
 
 def omega_table_from_dt(dt: InvariantTable) -> InvariantTable:
-    return InvariantTable("Omega", {g: omega_from_dt(dt, g) for g in dt.support()},
-                          note=dt.note)
+    """Omega(g) = sum_{m | gcd(g)} mu(m) DT(g/m) / m^2, the Mobius inversion
+    of dt_table_from_omega; exact round trip."""
+    return _convert(dt, "DT", "Omega", mobius=True)
 
 
 def gv_from_z(zres: ZSeriesResult) -> InvariantTable:

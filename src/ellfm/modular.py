@@ -24,6 +24,13 @@ n f_n = -24 sign sum_k sigma_1(k) f_(n-k) for prod (1 - q^n)^(24 sign), the
 logarithmic derivative of the product, so 1/Delta needs no series inversion.
 Each division by n must be exact; a remainder is an InvariantViolation.
 
+z_series reads 1/Delta (or eta^24) and E_10 from coefficient lists kept for
+the process and extended when a call needs more: each extension continues
+the recurrence from the kept prefix and checks E_10 = E_4 * E_6 at the new
+exponents only, so every coefficient passes both checks once, before it is
+first returned.  The size cap bounds the lists by MAX_U_ORDER coefficients.
+eta24, inv_eta24 and eisenstein compute from scratch on every call.
+
 The raw series lives on an integer exponent grid, while the counts are
 graded by q^(n - r/2); the monomial matching the two is reported (lowest
 nonzero coefficient = slot n = 0), never silently applied.
@@ -31,32 +38,37 @@ nonzero coefficient = slot n = 0), never silently applied.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
 from .errors import InvariantViolation
-from .qseries import QSeries, _convolve
+from .qseries import QSeries
 
 DELTA_CONVENTIONS = ("cusp", "paper")
 
-# Largest u-order r * (order + 1) + 2 that z_series accepts (about 1.3 s end to end)
+# Largest u-order r * (order + 1) + 2 that z_series accepts; a first call at the
+# cap takes about 1.05 s end to end (`ellfm zseries --r 1 --order 1997`, 2 cores,
+# CPython 3.11)
 MAX_U_ORDER = 2000
 
 # 1 - 2k/B_k for the supported weights: B_4 = -1/30, B_6 = 1/42, B_10 = 5/66
 _EISENSTEIN_CONST = {4: 240, 6: -504, 10: -264}
 
 
-def _eta_power_body(sign: int, order: int) -> list[int]:
+def _eta_power_body(sign: int, order: int, prefix: Sequence[int] = (1,)) -> list[int]:
     """Coefficients of prod_{n>=1} (1 - q^n)^(24 sign) for exponents 0..order,
     sign = +-1, in one pass of the logarithmic-derivative recurrence
-    n f_n = -24 sign sum_{k=1}^{n} sigma_1(k) f_(n-k).  The division by n is
-    exact for an integral power of an integral product; a remainder means a
-    wrong divisor table and raises InvariantViolation."""
+    n f_n = -24 sign sum_{k=1}^{n} sigma_1(k) f_(n-k), continued after a
+    nonempty prefix of already computed coefficients (a new list is
+    returned).  The division by n is exact for an integral power of an
+    integral product; a remainder means a wrong divisor table and raises
+    InvariantViolation."""
     sigma = sigma_table(1, order)
     scale = -24 * sign
-    f = [1]
-    for n in range(1, order + 1):
+    f = list(prefix)
+    for n in range(len(f), order + 1):
         value, rem = divmod(scale * sum(map(mul, sigma[1:n + 1], reversed(f))), n)
         if rem:
             raise InvariantViolation(f"eta^{24 * sign}: coefficient of q^{n} is not integral")
@@ -93,12 +105,32 @@ def _eisenstein_body(k: int, order: int) -> list[int]:
     return [1] + [_EISENSTEIN_CONST[k] * sums[n] for n in range(1, order + 1)]
 
 
-def _e10(order: int) -> list[int]:
-    """E_10 through q^order, checked against E_4 * E_6 (weight 10 is one-dimensional)."""
-    e10 = _eisenstein_body(10, order)
-    if _convolve(_eisenstein_body(4, order), _eisenstein_body(6, order), order) != e10:
-        raise InvariantViolation("E_10 disagrees with E_4 * E_6")
-    return e10
+def _e10(order: int, prefix: Sequence[int] = ()) -> list[int]:
+    """E_10 through q^order: a prefix of already checked coefficients, then
+    the divisor sums checked against E_4 * E_6 (weight 10 is one-dimensional)
+    at each exponent after it.  A new list is returned."""
+    done = len(prefix)
+    e4, e6, e10 = (_eisenstein_body(k, order) for k in (4, 6, 10))
+    for n in range(done, order + 1):
+        if sum(map(mul, e4[:n + 1], e6[n::-1])) != e10[n]:
+            raise InvariantViolation("E_10 disagrees with E_4 * E_6")
+    return [*prefix, *e10[done:]]
+
+
+# The checked coefficient lists z_series reads: prod (1 - q^n)^(24 sign) by
+# sign, and E_10.  A list is never mutated: a longer one replaces it, and only
+# after its extension has passed every check.
+_prefixes: dict[int | str, list[int]] = {1: [1], -1: [1], "E10": []}
+
+
+def _kept(key: int | str, order: int) -> list[int]:
+    """The kept list under key (a sign, or "E10") through at least q^order,
+    extended first if it is shorter."""
+    have = _prefixes[key]
+    if len(have) <= order:
+        have = _prefixes[key] = (_e10(order, have) if key == "E10"
+                                 else _eta_power_body(key, order, have))
+    return have
 
 
 def eisenstein(k: int, order: int) -> QSeries:
@@ -148,8 +180,8 @@ def z_series(r: int, k: int, order: int, convention: str = "cusp") -> ZSeriesRes
     # 1/Delta at u-exponents lo_u + j and E_10 at j, for j <= top: enough for u^(r * order)
     lo_u = -1 if convention == "cusp" else 1
     top = r * order - lo_u
-    inv_delta = _eta_power_body(-1 if convention == "cusp" else 1, top)
-    e10 = _e10(top)
+    inv_delta = _kept(-1 if convention == "cusp" else 1, top)
+    e10 = _kept("E10", top)
     lo = -(-lo_u // r)  # ceil(lo_u / r): the first multiple of r in the window
     z = QSeries(lo, [-2 * sum(map(mul, inv_delta[:j + 1], e10[j::-1]))
                      for j in range(r * lo - lo_u, top + 1, r)])

@@ -30,6 +30,8 @@ from .errors import require_rational
 
 Rat = int | Fraction
 
+_ZERO = Fraction(0)  # Fractions are immutable: one zero serves every dropped coefficient
+
 
 @dataclass(frozen=True)
 class QSeries:
@@ -210,7 +212,7 @@ def sieve(f: QSeries, r: int, k: int) -> QSeries:
                          f"(offset {f.offset} is fractional)")
     base = int(f.offset)
     residue = k % r
-    out = tuple(c if (base + i) % r == residue else Fraction(0)
+    out = tuple(c if (base + i) % r == residue else _ZERO
                 for i, c in enumerate(f.coeffs))
     return QSeries(f.offset, out)
 

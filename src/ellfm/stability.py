@@ -45,7 +45,8 @@ from .base_geometry import (
     pair_base,
     subeffective_combinations,
 )
-from .errors import MAX_ENUMERATION, InvariantViolation, check_enumeration_size, require_rational
+from .errors import (MAX_ENUMERATION, InvariantViolation, check_enumeration_size, require_int,
+                     require_rational)
 from .weierstrass import CurveX, mult_div_div, pair_div_curve, polarization, pullback
 
 Rat = int | Fraction
@@ -59,6 +60,10 @@ class Dim2Chern:
     alpha: BaseClass
     k2: int
     n: int
+
+    def __post_init__(self):
+        require_int(self.k2, "k2")
+        require_int(self.n, "n")
 
     def __neg__(self) -> "Dim2Chern":
         return Dim2Chern(-self.C, -self.alpha, -self.k2, -self.n)
@@ -81,6 +86,10 @@ class Dim1Chern:
     C: BaseClass
     m: int
     chi: int
+
+    def __post_init__(self):
+        require_int(self.m, "m")
+        require_int(self.chi, "chi")
 
     def __neg__(self) -> "Dim1Chern":
         return Dim1Chern(-self.C, -self.m, -self.chi)
@@ -119,6 +128,8 @@ class K3Invariants:
     n: int
 
     def __post_init__(self):
+        for name in ("r", "m", "l", "n"):
+            require_int(getattr(self, name), name)
         if self.r < 1:
             raise ValueError("K3 invariants need r >= 1")
 
@@ -193,8 +204,11 @@ def chi_dim2(B: BaseSurface, gamma: Dim2Chern) -> int:
 
 
 def _checked_context_chi2(B: BaseSurface, C: BaseClass, k2: int, n: int) -> int:
-    """2 chi = k2 - K_B.C of a context (C, k, n) with C effective nonzero,
-    chi >= 1 and n >= 0; twice chi, so that the bounds stay integral."""
+    """2 chi = k2 - K_B.C of a context (C, k, n) with integers k2 and n,
+    C effective nonzero, chi >= 1 and n >= 0; twice chi, so that the bounds
+    stay integral."""
+    require_int(k2, "k2")
+    require_int(n, "n")
     _require_effective_nonzero(B, C)
     chi2 = k2 - pair_base(B, B.canonical, C)
     if chi2 < 2:
@@ -245,8 +259,9 @@ def f_s_value(B: BaseSurface, s: Rat, e: SElement, C: BaseClass, k2: int, n: int
     """
     s = require_rational(s, "s")
     chi2 = _checked_context_chi2(B, C, k2, n)
-    integral = e.l.denominator == 1 and e.m.denominator == 1
-    member = (integral and e.l >= 0 and 0 <= e.m <= n
+    require_int(e.l, "l")
+    require_int(e.m, "m")
+    member = (e.l >= 0 and 0 <= e.m <= n
               and is_effective_base(B, e.Cprime) and is_effective_base(B, C - e.Cprime))
     d1x2 = 2 * _abs_kc(B, C) * e.l - _abs_kc(B, e.Cprime) * chi2  # 2 d1
     if not member or d1x2 > -2:

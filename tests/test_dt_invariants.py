@@ -6,15 +6,13 @@ import pytest
 
 from ellfm.dt_invariants import (
     InvariantTable,
-    _divisor_sum,
+    _convert,
     _divisors,
     _gcd3,
     _moebius,
-    dt_from_omega,
     dt_table_from_omega,
     fm_relabel,
     gv_from_z,
-    omega_from_dt,
     omega_table_from_dt,
 )
 from ellfm.errors import MAX_ENUMERATION
@@ -27,8 +25,8 @@ def closed_table(kind, values):
 
 
 def fraction_divisor_sum(table, gamma, weight):
-    """The multicover sum with one Fraction operation per divisor: the
-    reference the integer common-denominator sum is checked against."""
+    """The multicover sum for one entry with one Fraction operation per
+    divisor: the reference the whole-table integer sums are checked against."""
     r, n, k = gamma
     total = Fraction(0)
     for m in _divisors(_gcd3(gamma)):
@@ -38,72 +36,91 @@ def fraction_divisor_sum(table, gamma, weight):
 
 def test_primitive_gamma_is_identity():
     omega = closed_table("Omega", {(3, 4, 5): Fraction(7, 2)})
-    assert dt_from_omega(omega, (3, 4, 5)) == Fraction(7, 2)
+    assert dt_table_from_omega(omega).entries == {(3, 4, 5): Fraction(7, 2)}
     dt = closed_table("DT", {(3, 4, 5): Fraction(7, 2)})
-    assert omega_from_dt(dt, (3, 4, 5)) == Fraction(7, 2)
+    assert omega_table_from_dt(dt).entries == {(3, 4, 5): Fraction(7, 2)}
 
 
 def test_multicover_examples():
     omega = closed_table("Omega", {(2, 0, 2): 10, (1, 0, 1): 8})
-    assert dt_from_omega(omega, (2, 0, 2)) == 10 + Fraction(1, 4) * 8
+    assert dt_table_from_omega(omega).entries[(2, 0, 2)] == 10 + Fraction(1, 4) * 8
     omega = closed_table("Omega", {(6, 0, 4): 3, (3, 0, 2): 5})
-    assert dt_from_omega(omega, (6, 0, 4)) == 3 + Fraction(5, 4)
+    assert dt_table_from_omega(omega).entries[(6, 0, 4)] == 3 + Fraction(5, 4)
 
 
 def test_inversion_example():
     dt = closed_table("DT", {(4, 0, 2): Fraction(9), (2, 0, 1): Fraction(4)})
-    assert omega_from_dt(dt, (4, 0, 2)) == 9 - Fraction(1, 4) * 4
+    assert omega_table_from_dt(dt).entries[(4, 0, 2)] == 9 - Fraction(1, 4) * 4
 
 
 def test_kind_guards():
     dt = closed_table("DT", {(1, 0, 1): 1})
-    with pytest.raises(ValueError):
-        dt_from_omega(dt, (1, 0, 1))
+    with pytest.raises(ValueError, match="expected a table of kind 'Omega', got kind 'DT'"):
+        dt_table_from_omega(dt)
     omega = closed_table("Omega", {(1, 0, 1): 1})
-    with pytest.raises(ValueError):
-        omega_from_dt(omega, (1, 0, 1))
+    with pytest.raises(ValueError, match="expected a table of kind 'DT', got kind 'Omega'"):
+        omega_table_from_dt(omega)
     with pytest.raises(ValueError):
         InvariantTable("BPS", {})
 
 
 def test_missing_entries_error():
     omega = closed_table("Omega", {(2, 0, 2): 1})
-    with pytest.raises(KeyError):
-        dt_from_omega(omega, (2, 0, 2))  # needs (1, 0, 1) too
+    with pytest.raises(KeyError, match=r"table has no entry for \(1, 0, 1\)"):
+        dt_table_from_omega(omega)  # (2, 0, 2) needs (1, 0, 1) too
 
 
 def test_missing_entry_at_moebius_zero_divisor_error():
     """(1, 0, 1) = (4, 0, 4) / 4 has weight mu(4) = 0 in the inversion, yet
-    the support is not closed under division and the gap is reported."""
+    the support is not closed under division and the gap is reported.  In
+    sorted order (-9, -9, -9) comes first, and its gap (-1, -1, -1), at
+    mu(9) = 0, is the one reported, not the later gap (-4, -4, -4) of
+    (-8, -8, -8) at mu(2) = -1."""
     dt = closed_table("DT", {(4, 0, 4): 3, (2, 0, 2): 5})
     with pytest.raises(KeyError, match=r"\(1, 0, 1\)"):
-        omega_from_dt(dt, (4, 0, 4))
-    with pytest.raises(KeyError, match=r"\(1, 0, 1\)"):
+        omega_table_from_dt(dt)
+    dt = closed_table("DT", {(-9, -9, -9): 3, (-8, -8, -8): 5, (-3, -3, -3): 7})
+    with pytest.raises(KeyError, match=r"no entry for \(-1, -1, -1\)"):
         omega_table_from_dt(dt)
 
 
+def random_closed_table(rng, kind):
+    """Entries on two to four rays: each ray is the multiples m b, m | g, of a
+    primitive b with n of any sign (n = 0 included), for a g of up to 60."""
+    entries = {}
+    for _ in range(rng.randint(2, 4)):
+        raw = (rng.randint(1, 3), rng.choice([0, rng.randint(-3, 3)]), rng.randint(1, 3))
+        d = math.gcd(math.gcd(raw[0], abs(raw[1])), raw[2])
+        base = tuple(x // d for x in raw)
+        for m in _divisors(rng.randint(1, 60)):
+            entries[tuple(x * m for x in base)] = Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                           rng.randint(1, 720))
+    return closed_table(kind, entries)
+
+
 def test_divisor_sum_matches_fraction_oracle():
+    """Both whole-table conversions, entry by entry, against the per-entry
+    Fraction sum; output keys in sorted order, values Fractions."""
     rng = random.Random(60)
-    for _ in range(150):
-        g = rng.randint(1, 60)
-        base = (rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 3))
-        d = math.gcd(math.gcd(base[0], abs(base[1])), base[2])
-        base = tuple(x // d for x in base)
-        gamma = tuple(x * g for x in base)
-        entries = {tuple(x * m for x in base): Fraction(rng.randint(-10 ** 6, 10 ** 6),
-                                                        rng.randint(1, 720))
-                   for m in _divisors(g)}
-        for kind, weight in (("Omega", lambda m: 1), ("DT", _moebius)):
-            table = closed_table(kind, entries)
-            got = _divisor_sum(table, kind, gamma, weight)
-            assert type(got) is Fraction
-            assert got == fraction_divisor_sum(table, gamma, weight)
+    for _ in range(60):
+        for kind, out_kind, mobius, weight in (("Omega", "DT", False, lambda m: 1),
+                                               ("DT", "Omega", True, _moebius)):
+            table = random_closed_table(rng, kind)
+            public = dt_table_from_omega if kind == "Omega" else omega_table_from_dt
+            got = public(table)
+            assert got.kind == out_kind
+            assert list(got.entries) == sorted(table.entries)
+            assert all(type(v) is Fraction for v in got.entries.values())
+            assert got.entries == {gamma: fraction_divisor_sum(table, gamma, weight)
+                                   for gamma in table.entries}
+            assert _convert(table, kind, out_kind, mobius).entries == got.entries
 
 
 def test_zero_gamma_rejected():
-    omega = closed_table("Omega", {(1, 0, 1): 1})
-    with pytest.raises(ValueError):
-        dt_from_omega(omega, (0, 0, 0))
+    for kind, convert in (("Omega", dt_table_from_omega), ("DT", omega_table_from_dt)):
+        table = closed_table(kind, {(1, 0, 1): 1, (0, 0, 0): 1})
+        with pytest.raises(ValueError, match=r"\(0, 0, 0\) have no multicover expansion"):
+            convert(table)
 
 
 def test_round_trip_random_tables():
@@ -205,7 +222,7 @@ def test_multicover_gcd_cap():
     g = (MAX_ENUMERATION + 1) ** 2
     omega = closed_table("Omega", {(g, 0, g): 1})
     with pytest.raises(ValueError, match="has 100001 elements, more than the cap"):
-        dt_from_omega(omega, (g, 0, g))
-    g = MAX_ENUMERATION ** 2  # isqrt(g) = cap: scanned, then the missing (1, 0, 1) is reported
-    with pytest.raises(KeyError):
-        dt_from_omega(closed_table("Omega", {(g, 0, g): 1}), (g, 0, g))
+        dt_table_from_omega(omega)
+    g = MAX_ENUMERATION ** 2  # isqrt(g) = cap: scanned, then a missing g / m is reported
+    with pytest.raises(KeyError, match=f"no entry for \\({g // 2}, 0, {g // 2}\\)"):
+        dt_table_from_omega(closed_table("Omega", {(g, 0, g): 1}))

@@ -87,8 +87,55 @@ def test_eta_power_body_guards_exact_division(monkeypatch):
     for sign in (1, -1):
         with pytest.raises(InvariantViolation, match="not integral"):
             _eta_power_body(sign, 10)
+    # z_series on empty kept lists, as in a fresh process: the guard runs,
+    # and the failed extension stores nothing
+    cold = cold_prefixes()
+    monkeypatch.setattr(modular, "_prefixes", cold)
     with pytest.raises(InvariantViolation):
         z_series(1, 1, 10)
+    assert cold == cold_prefixes()
+
+
+def cold_prefixes():
+    return {1: [1], -1: [1], "E10": []}
+
+
+def test_e10_extension_is_checked(monkeypatch):
+    """Extending the kept E_10 list checks E_10 = E_4 * E_6 at the new
+    exponents: a wrong E_10 constant is caught there, the kept list stays."""
+    monkeypatch.setattr(modular, "_prefixes", cold_prefixes())
+    z_series(1, 1, 3)
+    kept = modular._prefixes["E10"]
+    monkeypatch.setitem(modular._EISENSTEIN_CONST, 10, -263)
+    with pytest.raises(InvariantViolation, match="E_10 disagrees with E_4 \\* E_6"):
+        z_series(1, 1, 10)
+    assert modular._prefixes["E10"] is kept
+
+
+def test_z_series_kept_prefixes_grow_then_serve(monkeypatch):
+    """One process, kept lists starting empty: a seeded sequence of calls
+    whose order grows, then shrinks, for r = 1..5 and both conventions; each
+    result equals the sieve assembly, and the shrinking calls reuse the
+    lists the growing ones left."""
+    monkeypatch.setattr(modular, "_prefixes", cold_prefixes())
+    rng = random.Random(10)
+    grow = sorted(rng.sample(range(1, 25), 4))
+    shrink = sorted(rng.sample(range(1, grow[-1]), 3), reverse=True)
+
+    def calls(orders):
+        for order in orders:
+            for r in range(1, 6):
+                for convention in DELTA_CONVENTIONS:
+                    z = z_series(r, 1, order, convention).series
+                    oracle = sieve_assembly(r, order, convention)
+                    assert (z.offset, z.order, z.coeffs) == (oracle.offset, oracle.order,
+                                                             oracle.coeffs)
+
+    calls(grow)
+    kept = dict(modular._prefixes)
+    calls(shrink)
+    assert all(modular._prefixes[key] is kept[key] for key in kept)
+    assert len(modular._prefixes["E10"]) == 5 * grow[-1] + 2
 
 
 def test_inverse_contract_order_500():

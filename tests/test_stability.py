@@ -8,6 +8,7 @@ from ellfm.base_geometry import BaseClass, enumerate_subeffective, pair_base, ze
 from ellfm.errors import MAX_ENUMERATION
 from ellfm.selftest import contexts
 from ellfm.stability import (
+    Dim1Chern,
     Dim2Chern,
     K3Invariants,
     KahlerParams,
@@ -127,6 +128,34 @@ def test_exact_scalars_refuse_other_types(F1, bad):
              (lambda: wall_bound_ts(1, bad), "delta")]
     for call, field in calls:
         with pytest.raises(ValueError, match=f"^{field} must be an integer or a Fraction"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, Fraction(1)])
+def test_integer_fields_refuse_other_types(F1, bad):
+    """The integer invariants of the Chern-data classes, of a destabilizer
+    context and of an element of S' are ints: a float, a bool or even an
+    integral Fraction raises a ValueError naming the field."""
+    calls = [(lambda: Dim2Chern(XI, ZERO2, bad, 0), "k2"),
+             (lambda: Dim2Chern(XI, ZERO2, 0, bad), "n"),
+             (lambda: Dim1Chern(XI, bad, 1), "m"),
+             (lambda: Dim1Chern(XI, 1, bad), "chi"),
+             (lambda: K3Invariants(bad, 0, 0, 0), "r"),
+             (lambda: K3Invariants(1, bad, 0, 0), "m"),
+             (lambda: K3Invariants(1, 0, bad, 0), "l"),
+             (lambda: K3Invariants(1, 0, 0, bad), "n"),
+             (lambda: compute_s1(F1, XI, bad, 1), "k2"),
+             (lambda: compute_s1(F1, XI, 0, bad), "n"),
+             (lambda: enumerate_S(F1, XI, bad, 1), "k2"),
+             (lambda: enumerate_S(F1, XI, 0, bad), "n"),
+             (lambda: enumerate_Sprime(F1, XI, bad, 1), "k2"),
+             (lambda: enumerate_Sprime(F1, XI, 0, bad), "n"),
+             (lambda: f_s_value(F1, 2, SElement(XI, bad, 1), XI, 0, 1), "l"),
+             (lambda: f_s_value(F1, 2, SElement(XI, 0, bad), XI, 0, 1), "m"),
+             (lambda: f_s_value(F1, 2, SElement(XI, 0, 1), XI, bad, 1), "k2"),
+             (lambda: f_s_value(F1, 2, SElement(XI, 0, 1), XI, 0, bad), "n")]
+    for call, field in calls:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
             call()
 
 
